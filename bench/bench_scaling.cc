@@ -28,7 +28,7 @@
 //    never fire) vs ungoverned. Governance lives only at batch/morsel
 //    boundaries, so the delta should be ~1%; >10% fails the bench.
 //
-// 5. Concurrent serving: the plan-ported TPC-H query set submitted by
+// 5. Concurrent serving: the TPC-H query set submitted by
 //    1/2/4 concurrent tenants through one serve::WorkloadServer on a
 //    shared 4-thread pool (throughput in queries/sec, every completed
 //    table byte-identical to the single-tenant serial baseline), and
@@ -47,7 +47,7 @@
 //    is a hard bench failure (latency deltas are reported, not gated:
 //    they are noise-sensitive on small scale factors).
 //
-// 7. Macro-adaptivity: the plan-ported query set served with static
+// 7. Macro-adaptivity: the query set served with static
 //    heuristics vs bandit-selected execution strategies (per-stage
 //    thread count, bloom on/off, morsel size — adapt/strategy.h),
 //    learned cold and warm-from-disk. Strategies steer time, never
@@ -328,7 +328,7 @@ bool RunGovernanceOverhead(std::vector<NamedPlan> queries, int cores,
 
 /// Section 5: concurrent serving through serve::WorkloadServer.
 ///
-/// (a) Throughput: 1/2/4 submitter threads each push every plan-ported
+/// (a) Throughput: 1/2/4 submitter threads each push every
 ///     TPC-H query once through one server (4-thread shared pool, 3
 ///     drivers, 2 parallel slots, pooled memory leases). Every
 ///     completed table is checked bit-exactly against the serial
@@ -342,7 +342,7 @@ bool RunGovernanceOverhead(std::vector<NamedPlan> queries, int cores,
 ///     match the serial bytes; the lease ledger must end at zero.
 bool RunServeSection(const tpch::TpchData& data, int cores,
                      bench::BenchJson* json) {
-  // The plan-ported query set, built once. The server borrows plans,
+  // The query set, built once. The server borrows plans,
   // so they live here (deque: stable addresses) until every Wait().
   std::vector<int> query_ids;
   std::deque<plan::LogicalPlan> plans;
@@ -352,7 +352,6 @@ bool RunServeSection(const tpch::TpchData& data, int cores,
     cfg.engine.adaptive.mode = ExecMode::kAdaptive;
     plan::QuerySession baseline{cfg};
     for (int q = 1; q <= 22; ++q) {
-      if (!tpch::HasPlan(q)) continue;
       query_ids.push_back(q);
       plans.push_back(tpch::PlanForQuery(data, q));
       RunResult r = baseline.Run(plans.back(), plan::ExecMode::kSerial);
@@ -493,7 +492,7 @@ bool RunServeSection(const tpch::TpchData& data, int cores,
 /// cache fresh — it is per-server) and persists the store on Shutdown.
 /// Pass "warm_disk": a third server knows only the store file path —
 /// the knowledge survived a process-lifetime boundary. Each pass runs
-/// the plan-ported query set `kRounds` times through one driver so the
+/// the query set `kRounds` times through one driver so the
 /// plan cache has repeats to hit.
 bool RunKnowledgeSection(const tpch::TpchData& data, int cores,
                          bench::BenchJson* json) {
@@ -505,7 +504,6 @@ bool RunKnowledgeSection(const tpch::TpchData& data, int cores,
     cfg.engine.adaptive.mode = ExecMode::kAdaptive;
     plan::QuerySession baseline{cfg};
     for (int q = 1; q <= 22; ++q) {
-      if (!tpch::HasPlan(q)) continue;
       query_ids.push_back(q);
       plans.push_back(tpch::PlanForQuery(data, q));
       RunResult r = baseline.Run(plans.back(), plan::ExecMode::kSerial);
@@ -638,7 +636,6 @@ bool RunStrategySection(const tpch::TpchData& data, int cores,
     cfg.engine.adaptive.mode = ExecMode::kAdaptive;
     plan::QuerySession baseline{cfg};
     for (int q = 1; q <= 22; ++q) {
-      if (!tpch::HasPlan(q)) continue;
       query_ids.push_back(q);
       plans.push_back(tpch::PlanForQuery(data, q));
       RunResult r = baseline.Run(plans.back(), plan::ExecMode::kSerial);
@@ -868,7 +865,7 @@ int Run() {
 
   bench::PrintHeader(
       "Concurrent serving: WorkloadServer throughput + shed rate",
-      "All plan-ported TPC-H queries pushed by 1/2/4 tenants through "
+      "All TPC-H queries pushed by 1/2/4 tenants through "
       "one WorkloadServer on a shared 4-thread pool — completed tables "
       "must stay byte-identical to the serial single-tenant baseline. "
       "Then bursts of Q1 against a 1-driver, depth-2 server: overload "

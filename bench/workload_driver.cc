@@ -1,5 +1,5 @@
 // workload_driver: concurrent-serving stress binary for the sanitizer
-// CI jobs. N submitter threads push the plan-ported TPC-H queries
+// CI jobs. N submitter threads push the TPC-H queries
 // through one WorkloadServer — optionally with probabilistic fault
 // injection the retry loop must heal — and the process exits nonzero
 // unless the run is clean:

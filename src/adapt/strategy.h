@@ -187,7 +187,7 @@ std::string StrategyKey(const std::string& site, StrategyKind kind);
 /// Site prefix for one plan: "fp" + 16 hex digits of the plan's STABLE
 /// fingerprint hash (plan/plan_fingerprint.h stable_hash — no table
 /// pointers, so the key survives process restarts). Stages append
-/// "/s<id>"; the post-merge tail sort appends "/tail".
+/// "/s<id>".
 std::string StrategySitePrefix(u64 stable_hash);
 
 /// Macro-adaptivity wiring for a QuerySession (plan/query_session.h).

@@ -44,6 +44,32 @@ ExprPtr BindScalarRefs(const Expr& expr, const ScalarBindings& scalars) {
   return e;
 }
 
+std::vector<HashAggOperator::AggSpec> CloneAggs(
+    const std::vector<HashAggOperator::AggSpec>& aggs,
+    const ScalarBindings& scalars) {
+  std::vector<HashAggOperator::AggSpec> cloned;
+  cloned.reserve(aggs.size());
+  for (const auto& a : aggs) {
+    cloned.push_back(a.Clone());
+    if (cloned.back().arg != nullptr) {
+      cloned.back().arg = BindScalarRefs(*a.arg, scalars);
+    }
+  }
+  return cloned;
+}
+
+RunResult WithDeclaredSchema(const std::vector<ColumnInfo>& schema,
+                             RunResult r) {
+  if (!r.status.ok() || r.table == nullptr || r.table->row_count() != 0) {
+    return r;
+  }
+  auto t = std::make_unique<Table>("result");
+  for (const ColumnInfo& c : schema) t->AddColumn(c.name, c.type);
+  t->set_row_count(0);
+  r.table = std::move(t);
+  return r;
+}
+
 Status ReadScalarValue(const Table& t, const std::string& column,
                        PhysicalType type, ScalarValue* out) {
   *out = ScalarValue();
@@ -92,20 +118,6 @@ std::vector<ProjectOperator::Output> CloneOutputs(
   return cloned;
 }
 
-std::vector<HashAggOperator::AggSpec> CloneAggs(
-    const std::vector<HashAggOperator::AggSpec>& aggs,
-    const ScalarBindings& scalars) {
-  std::vector<HashAggOperator::AggSpec> cloned;
-  cloned.reserve(aggs.size());
-  for (const auto& a : aggs) {
-    cloned.push_back(a.Clone());
-    if (cloned.back().arg != nullptr) {
-      cloned.back().arg = BindScalarRefs(*a.arg, scalars);
-    }
-  }
-  return cloned;
-}
-
 /// Scalar names referenced anywhere in `e`.
 void CollectScalarRefs(const Expr* e, std::vector<std::string>* out) {
   if (e == nullptr) return;
@@ -136,34 +148,6 @@ void CollectFragmentScalarRefs(const PlanNode* node, const PlanNode* stop,
     default:
       break;  // scan leaf or breaker boundary
   }
-}
-
-/// True when the subtree contains a pipeline breaker (join build sides
-/// do not count: they become stages of their own). A shared scan is a
-/// leaf from the consumer's perspective — its materialization is a
-/// stage of its own, scanned like a base table.
-bool ContainsBreaker(const PlanNode* node) {
-  switch (node->kind) {
-    case NodeKind::kGroupBy:
-    case NodeKind::kSort:
-    case NodeKind::kLimit:
-    case NodeKind::kMergeJoin:
-      return true;
-    case NodeKind::kHashJoin:
-      return ContainsBreaker(node->children[1].get());
-    case NodeKind::kFilter:
-    case NodeKind::kProject:
-      return ContainsBreaker(node->children[0].get());
-    case NodeKind::kScan:
-    case NodeKind::kSharedScan:
-      return false;
-  }
-  return false;
-}
-
-bool IsBreaker(NodeKind k) {
-  return k == NodeKind::kGroupBy || k == NodeKind::kSort ||
-         k == NodeKind::kLimit || k == NodeKind::kMergeJoin;
 }
 
 /// Counts canonical (label-free) subtree encodings — pass 1 of the
@@ -291,43 +275,43 @@ class StageBuilder {
   Status MaterializeNode(const PlanNode* node, int* stage_id) {
     // A shared/deduplicated subtree is already (or becomes) one
     // materializing stage; reuse it instead of materializing again.
-    int shared_id = -1;
-    MA_RETURN_IF_ERROR(MaybeShared(node, &shared_id));
-    if (shared_id >= 0) {
-      *stage_id = shared_id;
-      return Status::OK();
-    }
+    MA_RETURN_IF_ERROR(MaybeShared(node, stage_id));
+    if (*stage_id >= 0) return Status::OK();
+    return AddStage(node, /*materialize=*/true, stage_id);
+  }
+
+  /// Creates the stage that computes `node`, after the stages it
+  /// depends on. `materialize` picks where its output goes: an
+  /// intermediate that later stages scan, or (for the plan root) the
+  /// query result.
+  Status AddStage(const PlanNode* node, bool materialize, int* stage_id) {
+    Stage s;
     switch (node->kind) {
       case NodeKind::kGroupBy: {
-        Stage s;
-        MA_RETURN_IF_ERROR(FillAggregate(node, &s));
-        s.materialize = true;
-        *stage_id = Push(std::move(s));
-        return Status::OK();
+        // The pipeline below the GroupBy plus the breaker itself
+        // (thread-local pre-agg + merge at run time).
+        PipelineLeaf pl;
+        MA_RETURN_IF_ERROR(CollectPipeline(node->children[0].get(), &pl));
+        s.kind = Stage::Kind::kAggregate;
+        s.root = node->children[0].get();
+        s.stop = pl.stop;
+        s.input = pl.input;
+        s.agg = node;
+        s.deps = std::move(pl.deps);
+        break;
       }
       case NodeKind::kSort:
-      case NodeKind::kLimit: {
-        Stage s;
+      case NodeKind::kLimit:
         s.kind = Stage::Kind::kSort;
         MA_RETURN_IF_ERROR(
             MaterializeInput(node->children[0].get(), &s.input, &s.deps));
         if (node->kind == NodeKind::kSort) s.sort_keys = node->sort_keys;
         s.limit = node->limit;
-        s.materialize = true;
-        s.out_schema = node->schema;
-        s.label = node->label;
-        *stage_id = Push(std::move(s));
-        return Status::OK();
-      }
-      case NodeKind::kMergeJoin: {
-        Stage s;
+        break;
+      case NodeKind::kMergeJoin:
         MA_RETURN_IF_ERROR(FillMergeJoin(node, &s));
-        s.materialize = true;
-        *stage_id = Push(std::move(s));
-        return Status::OK();
-      }
-      default: {  // streaming chain: one materializing pipeline stage
-        Stage s;
+        break;
+      default: {  // streaming chain: one pipeline stage
         PipelineLeaf pl;
         MA_RETURN_IF_ERROR(CollectPipeline(node, &pl));
         s.kind = Stage::Kind::kPipeline;
@@ -335,13 +319,14 @@ class StageBuilder {
         s.stop = pl.stop;
         s.input = pl.input;
         s.deps = std::move(pl.deps);
-        s.materialize = true;
-        s.out_schema = node->schema;
-        s.label = node->label;
-        *stage_id = Push(std::move(s));
-        return Status::OK();
+        break;
       }
     }
+    s.materialize = materialize;
+    s.out_schema = node->schema;
+    s.label = node->label;
+    *stage_id = Push(std::move(s));
+    return Status::OK();
   }
 
   /// Resolves a merge-join (or sort) input: a bare base-table scan is
@@ -359,40 +344,22 @@ class StageBuilder {
     return Status::OK();
   }
 
-  /// Fills an aggregation stage: the pipeline below the GroupBy plus
-  /// the breaker itself (thread-local pre-agg + merge at run time).
-  Status FillAggregate(const PlanNode* group_by, Stage* s) {
-    PipelineLeaf pl;
-    MA_RETURN_IF_ERROR(CollectPipeline(group_by->children[0].get(), &pl));
-    s->kind = Stage::Kind::kAggregate;
-    s->root = group_by->children[0].get();
-    s->stop = pl.stop;
-    s->input = pl.input;
-    s->agg = group_by;
-    s->deps = std::move(pl.deps);
-    s->out_schema = group_by->schema;
-    s->label = group_by->label;
-    return Status::OK();
-  }
-
   /// Fills a merge-join stage: both sides materialized (or base
   /// tables), each behind a prove-or-sort stage unless a Sort node on
   /// the join key already proves the order statically.
   Status FillMergeJoin(const PlanNode* merge, Stage* s) {
     s->kind = Stage::Kind::kMergeJoin;
     s->merge = merge;
-    s->out_schema = merge->schema;
-    s->label = merge->label;
     MA_RETURN_IF_ERROR(MaterializeInput(merge->children[0].get(),
                                         &s->input, &s->deps));
     MA_RETURN_IF_ERROR(EnsureSorted(merge->children[0].get(),
                                     merge->merge_spec.left_key, &s->input,
-                                    &s->deps, s->label + "/left"));
+                                    &s->deps, merge->label + "/left"));
     MA_RETURN_IF_ERROR(MaterializeInput(merge->children[1].get(),
                                         &s->right, &s->deps));
     MA_RETURN_IF_ERROR(EnsureSorted(merge->children[1].get(),
                                     merge->merge_spec.right_key, &s->right,
-                                    &s->deps, s->label + "/right"));
+                                    &s->deps, merge->label + "/right"));
     return Status::OK();
   }
 
@@ -590,55 +557,62 @@ std::string StagePlan::Describe() const {
       }
       out.append("]");
     }
-    out.append(s.materialize ? "  -> intermediate" : "  -> result");
+    out.append(s.kind == Stage::Kind::kJoinBuild ? "  -> shared build"
+               : s.materialize                    ? "  -> intermediate"
+                                                  : "  -> result");
     if (!s.label.empty()) out.append("  [").append(s.label).append("]");
-    out.append("\n");
-  }
-  if (!tail.empty()) {
-    out.append("tail:");
-    for (const PlanNode* n : tail) {
-      out.append(" ").append(NodeKindName(n->kind));
-    }
     out.append("\n");
   }
   return out;
 }
 
-OperatorPtr Compiler::Lower(const PlanNode* node, Engine* engine,
-                            const ScalarBindings& scalars,
-                            const SharedTables& shared) {
+OperatorPtr Compiler::Lower(const PlanNode* node, LowerEnv* env) {
+  if (node == env->stop) return std::move(env->leaf);
+  Engine* engine = env->engine;
+  const ScalarBindings& scalars = *env->scalars;
   switch (node->kind) {
     case NodeKind::kScan:
       return std::make_unique<ScanOperator>(engine, node->table,
                                             node->columns);
     case NodeKind::kSharedScan: {
-      const auto it = shared.find(node->shared.get());
-      MA_CHECK(it != shared.end());  // CompileSerial evaluates specs first
+      // CompileSerial evaluates specs first; staged fragments stop at
+      // every shared scan.
+      MA_CHECK(env->shared != nullptr);
+      const auto it = env->shared->find(node->shared.get());
+      MA_CHECK(it != env->shared->end());
       return std::make_unique<SharedResultScanOperator>(engine, it->second);
     }
     case NodeKind::kFilter:
       return std::make_unique<SelectOperator>(
-          engine, Lower(node->children[0].get(), engine, scalars, shared),
+          engine, Lower(node->children[0].get(), env),
           BindScalarRefs(*node->predicate, scalars), node->label);
     case NodeKind::kProject:
       return std::make_unique<ProjectOperator>(
-          engine, Lower(node->children[0].get(), engine, scalars, shared),
+          engine, Lower(node->children[0].get(), env),
           CloneOutputs(node->outputs, scalars), node->label);
-    case NodeKind::kHashJoin:
+    case NodeKind::kHashJoin: {
+      if (env->builds != nullptr) {
+        const auto it = env->builds->find(node);
+        if (it != env->builds->end()) {
+          return std::make_unique<HashJoinOperator>(
+              engine, it->second, Lower(node->children[1].get(), env),
+              node->hash_spec, node->label);
+        }
+      }
       return std::make_unique<HashJoinOperator>(
-          engine, Lower(node->children[0].get(), engine, scalars, shared),
-          Lower(node->children[1].get(), engine, scalars, shared),
-          node->hash_spec, node->label);
+          engine, Lower(node->children[0].get(), env),
+          Lower(node->children[1].get(), env), node->hash_spec,
+          node->label);
+    }
     case NodeKind::kMergeJoin:
       return std::make_unique<MergeJoinOperator>(
-          engine, Lower(node->children[0].get(), engine, scalars, shared),
-          Lower(node->children[1].get(), engine, scalars, shared),
-          node->merge_spec, node->label);
+          engine, Lower(node->children[0].get(), env),
+          Lower(node->children[1].get(), env), node->merge_spec,
+          node->label);
     case NodeKind::kGroupBy: {
       auto agg = std::make_unique<HashAggOperator>(
-          engine, Lower(node->children[0].get(), engine, scalars, shared),
-          node->group_keys, node->group_outputs,
-          CloneAggs(node->aggs, scalars), node->label);
+          engine, Lower(node->children[0].get(), env), node->group_keys,
+          node->group_outputs, CloneAggs(node->aggs, scalars), node->label);
       // Plan contract: groups emit in packed-key order, matching the
       // parallel merge, so serial and parallel row order agree even
       // without a Sort above the aggregation.
@@ -647,13 +621,13 @@ OperatorPtr Compiler::Lower(const PlanNode* node, Engine* engine,
     }
     case NodeKind::kSort:
       return std::make_unique<SortOperator>(
-          engine, Lower(node->children[0].get(), engine, scalars, shared),
-          node->sort_keys, node->limit);
+          engine, Lower(node->children[0].get(), env), node->sort_keys,
+          node->limit);
     case NodeKind::kLimit:
       // A sort with no keys keeps input order; partial_sort then just
       // cuts off after `limit` rows.
       return std::make_unique<SortOperator>(
-          engine, Lower(node->children[0].get(), engine, scalars, shared),
+          engine, Lower(node->children[0].get(), env),
           std::vector<SortKey>{}, node->limit);
   }
   MA_CHECK(false);
@@ -678,9 +652,13 @@ OperatorPtr Compiler::CompileSerial(const LogicalPlan& plan,
   ScalarBindings bindings;
   const ScalarBindings no_scalars;
   SharedTables shared_tables;
+  auto lower = [&](const PlanNode* root, const ScalarBindings& scalars) {
+    LowerEnv env{.engine = engine, .scalars = &scalars,
+                 .shared = &shared_tables};
+    return Lower(root, &env);
+  };
   for (const auto& sp : plan.shared) {
-    OperatorPtr sub =
-        Lower(sp->root.get(), engine, no_scalars, shared_tables);
+    OperatorPtr sub = lower(sp->root.get(), no_scalars);
     RunResult r = engine->Run(*sub);
     if (!r.status.ok() || r.table == nullptr) {
       engine->context()->Fail(
@@ -697,7 +675,7 @@ OperatorPtr Compiler::CompileSerial(const LogicalPlan& plan,
   // they lower against empty bindings (their roots may reference
   // shared subplans).
   for (const ScalarSpec& sc : plan.scalars) {
-    OperatorPtr sub = Lower(sc.root.get(), engine, no_scalars, shared_tables);
+    OperatorPtr sub = lower(sc.root.get(), no_scalars);
     const RunResult r = engine->Run(*sub);
     if (!r.status.ok() || r.table == nullptr) {
       // Engine::Run already recorded the failure on the context; make
@@ -716,7 +694,7 @@ OperatorPtr Compiler::CompileSerial(const LogicalPlan& plan,
     }
     bindings[sc.name] = v;
   }
-  return Lower(plan.root.get(), engine, bindings, shared_tables);
+  return lower(plan.root.get(), bindings);
 }
 
 Status Compiler::BuildStagePlan(const LogicalPlan& plan, StagePlan* out) {
@@ -743,51 +721,14 @@ Status Compiler::BuildStagePlan(const LogicalPlan& plan, StagePlan* out) {
     builder.DefineScalar(sc.name, id);
   }
 
-  const PlanNode* node = plan.root.get();
-
-  // Peel the tail: sorts and limits at the top always run post-merge;
-  // filters and projects join them only while a breaker is still below
-  // (otherwise they belong to the streaming pipeline itself).
-  for (;;) {
-    if (node->kind == NodeKind::kSort || node->kind == NodeKind::kLimit) {
-      out->tail.push_back(node);
-      node = node->children[0].get();
-      continue;
-    }
-    if ((node->kind == NodeKind::kFilter ||
-         node->kind == NodeKind::kProject) &&
-        ContainsBreaker(node->children[0].get())) {
-      out->tail.push_back(node);
-      node = node->children[0].get();
-      continue;
-    }
-    break;
-  }
-  // Innermost tail node first: that is the order they stack over the
-  // merged result.
-  std::reverse(out->tail.begin(), out->tail.end());
-
-  // The spine root becomes the final (non-materializing) stage; its
-  // sub-breakers and build sides become the stages before it.
-  Stage final_stage;
-  if (node->kind == NodeKind::kGroupBy) {
-    MA_RETURN_IF_ERROR(builder.FillAggregate(node, &final_stage));
-  } else if (node->kind == NodeKind::kMergeJoin) {
-    MA_RETURN_IF_ERROR(builder.FillMergeJoin(node, &final_stage));
-  } else {
-    MA_CHECK(!IsBreaker(node->kind));  // sorts/limits were peeled
-    StageBuilder::PipelineLeaf pl;
-    MA_RETURN_IF_ERROR(builder.CollectPipeline(node, &pl));
-    final_stage.kind = Stage::Kind::kPipeline;
-    final_stage.root = node;
-    final_stage.stop = pl.stop;
-    final_stage.input = pl.input;
-    final_stage.deps = std::move(pl.deps);
-    final_stage.label = node->label;
-  }
-  final_stage.materialize = false;
-  final_stage.out_schema = node->schema;
-  out->final_stage = builder.Push(std::move(final_stage));
+  // The root becomes the last stage, and its output is the result
+  // instead of an intermediate; its sub-breakers and build sides become
+  // the stages before it. The root skips MaterializeNode's sharing
+  // lookup: a shared stage must keep its intermediate for its other
+  // readers, so a shared root gets a stage of its own.
+  int root_id = -1;
+  MA_RETURN_IF_ERROR(
+      builder.AddStage(plan.root.get(), /*materialize=*/false, &root_id));
 
   for (const Stage& s : out->stages) {
     if (!s.input.from_stage() && s.input.scan == nullptr &&
@@ -796,64 +737,6 @@ Status Compiler::BuildStagePlan(const LogicalPlan& plan, StagePlan* out) {
     }
   }
   return Status::OK();
-}
-
-OperatorPtr Compiler::CompileFragment(const PlanNode* node,
-                                      const PlanNode* stop, Engine* engine,
-                                      OperatorPtr leaf,
-                                      const BuildMap& builds,
-                                      const ScalarBindings& scalars) {
-  if (node == stop) return leaf;
-  switch (node->kind) {
-    case NodeKind::kFilter:
-      return std::make_unique<SelectOperator>(
-          engine,
-          CompileFragment(node->children[0].get(), stop, engine,
-                          std::move(leaf), builds, scalars),
-          BindScalarRefs(*node->predicate, scalars), node->label);
-    case NodeKind::kProject:
-      return std::make_unique<ProjectOperator>(
-          engine,
-          CompileFragment(node->children[0].get(), stop, engine,
-                          std::move(leaf), builds, scalars),
-          CloneOutputs(node->outputs, scalars), node->label);
-    case NodeKind::kHashJoin: {
-      const auto it = builds.find(node);
-      MA_CHECK(it != builds.end());
-      return std::make_unique<HashJoinOperator>(
-          engine, it->second,
-          CompileFragment(node->children[1].get(), stop, engine,
-                          std::move(leaf), builds, scalars),
-          node->hash_spec, node->label);
-    }
-    default:
-      MA_CHECK(false);  // the fragmenter admits no other kinds
-      return nullptr;
-  }
-}
-
-OperatorPtr Compiler::CompileTailNode(const PlanNode* node, Engine* engine,
-                                      OperatorPtr child,
-                                      const ScalarBindings& scalars) {
-  switch (node->kind) {
-    case NodeKind::kSort:
-      return std::make_unique<SortOperator>(engine, std::move(child),
-                                            node->sort_keys, node->limit);
-    case NodeKind::kLimit:
-      return std::make_unique<SortOperator>(
-          engine, std::move(child), std::vector<SortKey>{}, node->limit);
-    case NodeKind::kFilter:
-      return std::make_unique<SelectOperator>(
-          engine, std::move(child),
-          BindScalarRefs(*node->predicate, scalars), node->label);
-    case NodeKind::kProject:
-      return std::make_unique<ProjectOperator>(
-          engine, std::move(child), CloneOutputs(node->outputs, scalars),
-          node->label);
-    default:
-      MA_CHECK(false);
-      return nullptr;
-  }
 }
 
 }  // namespace ma::plan

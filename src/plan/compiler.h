@@ -1,5 +1,11 @@
 // Compiler: lowers a LogicalPlan onto an executor.
 //
+// One lowering function, Lower(), turns plan nodes into operators. The
+// serial executor lowers the whole plan with it; the staged executor
+// lowers each stage's pipeline fragment with it, once per worker,
+// substituting the worker's morsel scan for the fragment's leaf and
+// probing the stage DAG's shared join builds.
+//
 // Serial: CompileSerial() produces one fresh operator tree bound to an
 // Engine, ready for Engine::Run. Expressions are cloned, so the same
 // plan can be compiled any number of times (across engines, modes and
@@ -11,14 +17,18 @@
 //     run morsel-parallel with per-worker operator trees,
 //   - a hash-join build (shared immutable SharedJoinBuild),
 //   - an aggregation (thread-local pre-aggregation + packed-key merge),
-//   - a sort / limit (serial over its — materialized — input), or
+//   - a sort / limit (a parallel TopN over large inputs, otherwise
+//     serial over its — materialized — input), or
 //   - a merge join (serial over two materialized, order-proven inputs).
 // A stage's input is either a base-table scan leaf or the materialized
-// output of an earlier stage: non-terminal stages write their result
-// into an IntermediateTable that downstream stages scan exactly like a
-// base table (storage/intermediate.h). This is what lets aggregations
-// feed joins, sorts feed merge joins, and subquery results be
-// re-scanned — plan shapes the single-pipeline fragmenter rejected.
+// output of an earlier stage: every stage but the last writes its
+// result into an IntermediateTable that downstream stages scan exactly
+// like a base table (storage/intermediate.h). This is what lets
+// aggregations feed joins, sorts feed merge joins, and subquery results
+// be re-scanned. The last stage computes the plan root and its output
+// is the query result: a top Sort or Limit is an ordinary sort stage,
+// and a filter or project above a breaker is a pipeline stage scanning
+// the breaker's intermediate.
 //
 // Merge joins become reachable from plans by order proof: each merge
 // input is wrapped in an order-proof stage unless a Sort node on the
@@ -31,7 +41,8 @@
 //
 // Determinism carries across stage boundaries: pipeline stages merge
 // per-morsel outputs in morsel order, aggregation stages emit groups in
-// packed-key order with fixed-point f64 sums, and sort/merge stages run
+// packed-key order with fixed-point f64 sums, TopN merges per-worker
+// heaps under the serial sort's comparator, and sort/merge stages run
 // serially over inputs that are themselves byte-identical between
 // serial and parallel execution — so the whole DAG is.
 #ifndef MA_PLAN_COMPILER_H_
@@ -76,6 +87,15 @@ using SharedTables =
 Status ReadScalarValue(const Table& t, const std::string& column,
                        PhysicalType type, ScalarValue* out);
 
+/// Rebuilds an empty result from the plan's declared output `schema`.
+/// The serial drain learns column names and types only from emitted
+/// batches, so a zero-row query yields a zero-COLUMN table there, while
+/// staged materialization emits typed empty columns. Every entry point
+/// that returns a plan's result passes it through here, so all paths
+/// agree byte for byte on empty results too.
+RunResult WithDeclaredSchema(const std::vector<ColumnInfo>& schema,
+                             RunResult r);
+
 /// Where a stage reads from: a base-table scan leaf of the plan, or the
 /// materialized output of an earlier stage.
 struct StageInput {
@@ -90,7 +110,7 @@ struct Stage {
     kPipeline,   // streaming fragment, morsel-parallel
     kJoinBuild,  // shared hash-join build, morsel-parallel
     kAggregate,  // pipeline + GroupBy breaker, pre-agg + merge
-    kSort,       // sort/limit (or merge-input order proof), serial
+    kSort,       // sort/limit (or merge-input order proof); TopN if large
     kMergeJoin,  // merge join over two materialized inputs, serial
   };
 
@@ -115,7 +135,7 @@ struct Stage {
   /// pass the input through untouched.
   bool prove_sorted = false;
   /// True → output goes to an IntermediateTable scanned by later
-  /// stages; false → this is the final stage, its output is the result.
+  /// stages; false → this is the last stage, its output is the result.
   bool materialize = false;
   /// Declared schema of the materialized output.
   std::vector<ColumnInfo> out_schema;
@@ -126,8 +146,8 @@ struct Stage {
   std::string label;
 };
 
-/// A fragmented plan: stages in execution (topological) order plus the
-/// serial tail compiled over the final stage's merged result.
+/// A fragmented plan: stages in execution (topological) order. The
+/// last stage computes the plan root; its output is the result.
 struct StagePlan {
   /// A scalar subquery's landing spot: stage `stage` materializes its
   /// (single-row) result, and the scheduler reads `column` out of that
@@ -142,10 +162,6 @@ struct StagePlan {
 
   std::vector<Stage> stages;
   std::vector<ScalarStage> scalars;
-  /// Sorts/limits (and filters/projects above the last breaker) over
-  /// the final result, innermost first.
-  std::vector<const PlanNode*> tail;
-  int final_stage = -1;
 
   /// Indented stage listing for diagnostics and docs.
   std::string Describe() const;
@@ -173,34 +189,36 @@ class Compiler {
   /// fragments); QuerySession then falls back to serial.
   static Status BuildStagePlan(const LogicalPlan& plan, StagePlan* out);
 
-  /// Lowers the fragment rooted at `node` for one worker: recursion
-  /// stops at `stop` (the fragment's leaf position), which is replaced
-  /// by `leaf` (the worker's MorselScanOperator); kHashJoin nodes probe
-  /// their shared build from `builds`; ScalarRefs substitute their
-  /// values from `scalars`.
-  static OperatorPtr CompileFragment(const PlanNode* node,
-                                     const PlanNode* stop, Engine* engine,
-                                     OperatorPtr leaf,
-                                     const BuildMap& builds,
-                                     const ScalarBindings& scalars);
+  /// What Lower() substitutes while it walks a subtree.
+  struct LowerEnv {
+    Engine* engine = nullptr;
+    /// Values for every ScalarRef in the subtree.
+    const ScalarBindings* scalars = nullptr;
+    /// Evaluated shared subplans, for kSharedScan leaves.
+    const SharedTables* shared = nullptr;
+    /// Recursion stops at `stop`, which lowers to `leaf` (a worker's
+    /// MorselScanOperator for a staged fragment).
+    const PlanNode* stop = nullptr;
+    OperatorPtr leaf = nullptr;
+    /// A kHashJoin found here probes its shared build instead of
+    /// lowering its build child.
+    const BuildMap* builds = nullptr;
+  };
 
-  /// Lowers one tail node (sort/limit/filter/project) on top of
-  /// `child`, for the serial post-merge stage of a parallel run.
-  static OperatorPtr CompileTailNode(const PlanNode* node, Engine* engine,
-                                     OperatorPtr child,
-                                     const ScalarBindings& scalars);
-
- private:
-  static OperatorPtr Lower(const PlanNode* node, Engine* engine,
-                           const ScalarBindings& scalars,
-                           const SharedTables& shared);
+  /// Lowers the subtree rooted at `node` onto env->engine. Used for the
+  /// whole serial tree and for every staged pipeline fragment.
+  static OperatorPtr Lower(const PlanNode* node, LowerEnv* env);
 };
 
 /// Clones `expr` with every ScalarRef replaced by a literal holding its
-/// bound value — the substitution step of plan-level scalar folding
-/// (shared by the serial and staged compilers, and by AggSpec cloning
-/// in the parallel aggregation path).
+/// bound value — the substitution step of plan-level scalar folding.
 ExprPtr BindScalarRefs(const Expr& expr, const ScalarBindings& scalars);
+
+/// Clones aggregate specs with their arguments' ScalarRefs bound (for
+/// the serial HashAggOperator and the parallel aggregation stage).
+std::vector<HashAggOperator::AggSpec> CloneAggs(
+    const std::vector<HashAggOperator::AggSpec>& aggs,
+    const ScalarBindings& scalars);
 
 }  // namespace ma::plan
 

@@ -46,20 +46,6 @@ bool ColumnIsAscending(const Table* t, const std::string& name) {
   return true;
 }
 
-ParallelExecutor::AggPlan MakeAggPlan(const PlanNode* agg,
-                                      const ScalarBindings& scalars) {
-  ParallelExecutor::AggPlan plan;
-  plan.group_keys = agg->group_keys;
-  plan.group_outputs = agg->group_outputs;
-  for (const HashAggOperator::AggSpec& a : agg->aggs) {
-    plan.aggs.push_back(a.Clone());
-    if (plan.aggs.back().arg != nullptr) {
-      plan.aggs.back().arg = BindScalarRefs(*a.arg, scalars);
-    }
-  }
-  return plan;
-}
-
 std::unique_ptr<IntermediateTable> MakeIntermediate(const Stage& stage) {
   std::vector<IntermediateTable::ColumnSpec> specs;
   specs.reserve(stage.out_schema.size());
@@ -90,25 +76,6 @@ RunResult FailedResult(QueryContext* ctx) {
   r.status = ctx->status();
   if (r.status.ok()) r.status = Status::Internal("query failed");
   r.reason = ReasonFromStatus(r.status);
-  return r;
-}
-
-/// Rebuilds an empty result from the plan's declared output schema.
-/// The serial drain learns column names/types only from emitted
-/// batches, so a zero-row query yields a zero-COLUMN table there,
-/// while staged materialization emits typed empty columns — the one
-/// place the two executors used to disagree. Normalizing every empty
-/// result at the Run() boundary keeps the byte-identity contract on
-/// degenerate inputs too.
-RunResult WithDeclaredSchema(const std::vector<ColumnInfo>& schema,
-                             RunResult r) {
-  if (!r.status.ok() || r.table == nullptr || r.table->row_count() != 0) {
-    return r;
-  }
-  auto t = std::make_unique<Table>("result");
-  for (const ColumnInfo& c : schema) t->AddColumn(c.name, c.type);
-  t->set_row_count(0);
-  r.table = std::move(t);
   return r;
 }
 
@@ -204,7 +171,7 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
   }
   StrategyBook* book =
       config_.macro.enabled ? config_.macro.book.get() : nullptr;
-  engine_.ResetProfile();  // sort/merge stages and the tail run here
+  engine_.ResetProfile();  // sort and merge stages run here
   engine_.set_context(ctx);
   parallel_->set_context(ctx);
   // Whatever way this run ends, the next query must find pristine
@@ -239,6 +206,19 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
       return {outs[in.stage], out_cols[in.stage]};
     }
     return {in.scan->table, in.scan->columns};
+  };
+  // Per-worker operator trees for a pipeline, join-build or aggregate
+  // stage: its fragment lowered with the worker's morsel scan as leaf.
+  auto fragment = [&builds, &bindings](const Stage& stage) {
+    return [&stage, &builds, &bindings](Engine* engine,
+                                        OperatorPtr leaf) -> OperatorPtr {
+      Compiler::LowerEnv env{.engine = engine,
+                             .scalars = &bindings,
+                             .stop = stage.stop,
+                             .leaf = std::move(leaf),
+                             .builds = &builds};
+      return Compiler::Lower(stage.root, &env);
+    };
   };
 
   // --- Macro-adaptivity bookkeeping ----------------------------------
@@ -339,12 +319,6 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
       case Stage::Kind::kJoinBuild: {
         const auto [table, columns] = resolve(stage.input);
         stage_rows[stage.id] = table->row_count();
-        auto factory = [&stage, &builds, &bindings](
-                           Engine* engine, OperatorPtr leaf) -> OperatorPtr {
-          return Compiler::CompileFragment(stage.root, stage.stop, engine,
-                                           std::move(leaf), builds,
-                                           bindings);
-        };
         // Bloom is only a decision where the static path would bloom;
         // left-outer and config exclusions stay hard rules.
         const bool bloom_site =
@@ -354,7 +328,7 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
         const StageHints hints = decide_hints(stage, bloom_site);
         const u64 b0 = CycleClock::Now();
         owned_builds.push_back(parallel_->BuildJoin(
-            table, columns, factory, stage.join->hash_spec, hints));
+            table, columns, fragment(stage), stage.join->hash_spec, hints));
         stage_cycles[stage.id] = CycleClock::Now() - b0;
         if (owned_builds.back() == nullptr) break;  // ctx holds the error
         builds[stage.join] = owned_builds.back().get();
@@ -364,12 +338,7 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
       case Stage::Kind::kAggregate: {
         const auto [table, columns] = resolve(stage.input);
         stage_rows[stage.id] = table->row_count();
-        auto factory = [&stage, &builds, &bindings](
-                           Engine* engine, OperatorPtr leaf) -> OperatorPtr {
-          return Compiler::CompileFragment(stage.root, stage.stop, engine,
-                                           std::move(leaf), builds,
-                                           bindings);
-        };
+        const auto factory = fragment(stage);
         const StageHints hints = decide_hints(stage, false);
         RunResult r;
         if (stage.kind == Stage::Kind::kPipeline && stage.materialize) {
@@ -379,8 +348,11 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
                                          mats[stage.id].get(), hints);
           outs[stage.id] = mats[stage.id]->table();
         } else if (stage.kind == Stage::Kind::kAggregate) {
-          r = parallel_->RunAgg(table, columns, factory,
-                                MakeAggPlan(stage.agg, bindings), hints);
+          r = parallel_->RunAgg(
+              table, columns, factory,
+              {stage.agg->group_keys, stage.agg->group_outputs,
+               CloneAggs(stage.agg->aggs, bindings)},
+              hints);
         } else {
           r = parallel_->RunPipeline(table, columns, factory, hints);
         }
@@ -462,92 +434,12 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
     if (ctx->ShouldStop()) break;
   }
 
-  if (!ctx->status().ok()) {
-    RunResult failed = FailedResult(ctx);
-    failed.stages = acc;
-    failed.total_cycles = CycleClock::Now() - t0;
-    failed.seconds = static_cast<f64>(failed.total_cycles) /
-                     CycleClock::FrequencyHz();
-    return failed;
-  }
-
-  // Tail: sorts/limits (and post-breaker filters/projects) over the
-  // final merged result. A leading Sort+Limit over a large merge goes
-  // through the parallel TopN (byte-identical to the serial operator);
-  // the rest runs serially.
-  std::pair<StrategyBook::Decision, u64> tail_decision;  // (d, cycles)
-  u64 tail_tuples = 0;
-  bool have_tail_decision = false;
-  if (!sp.tail.empty()) {
-    std::unique_ptr<Table> merged = std::move(result.table);
-    size_t tail_start = 0;
-    const PlanNode* head = sp.tail[0];
-    if (merged != nullptr && head->kind == NodeKind::kSort &&
-        head->limit > 0 && !head->sort_keys.empty() &&
-        merged->row_count() >= kParallelTopNMinRows) {
-      StageHints hints;
-      if (book != nullptr) {
-        // The tail is not a stage; it gets its own site suffix. Only
-        // the thread count is decided here — the scan is a single pass
-        // over an already-materialized table, so morsel size is noise.
-        const int pool = parallel_->num_threads();
-        std::vector<StrategyArm> tarms;
-        tarms.push_back({"t" + std::to_string(pool),
-                         static_cast<u64>(pool)});
-        if (pool != 2) tarms.push_back({"t2", 2});
-        if (pool != 1) tarms.push_back({"t1", 1});
-        if (tarms.size() > 1) {
-          tail_decision.first = book->Decide(
-              site_prefix + "/tail", StrategyKind::kThreadCount, tarms);
-          hints.workers = static_cast<int>(tail_decision.first.value);
-          tail_tuples = merged->row_count();
-          have_tail_decision = true;
-        }
-      }
-      RunResult topn = parallel_->RunTopN(merged.get(), {}, head->sort_keys,
-                                          head->limit, hints);
-      acc.execute += topn.stages.execute;
-      acc.primitives += topn.stages.primitives;
-      acc.postprocess += topn.stages.postprocess;
-      if (!topn.status.ok()) {
-        RunResult failed = FailedResult(ctx);
-        failed.stages = acc;
-        failed.total_cycles = CycleClock::Now() - t0;
-        failed.seconds = static_cast<f64>(failed.total_cycles) /
-                         CycleClock::FrequencyHz();
-        return failed;
-      }
-      tail_decision.second = topn.total_cycles;
-      result.rows_emitted = topn.rows_emitted;
-      merged = std::move(topn.table);
-      tail_start = 1;
-    }
-    if (tail_start < sp.tail.size()) {
-      OperatorPtr op =
-          std::make_unique<ScanOperator>(&engine_, merged.get());
-      for (size_t i = tail_start; i < sp.tail.size(); ++i) {
-        op = Compiler::CompileTailNode(sp.tail[i], &engine_, std::move(op),
-                                       bindings);
-      }
-      RunResult tail_result = engine_.Run(*op);
-      acc.execute += tail_result.stages.execute;
-      acc.primitives += tail_result.stages.primitives;
-      acc.postprocess += tail_result.stages.postprocess;
-      tail_result.stages = StageProfile{};
-      result = std::move(tail_result);
-    } else {
-      result.table = std::move(merged);
-    }
-  }
-
+  if (!ctx->status().ok()) result = FailedResult(ctx);
   result.stages = acc;
   // Wall clock over every stage (join builds included).
   result.total_cycles = CycleClock::Now() - t0;
   result.seconds = static_cast<f64>(result.total_cycles) /
                    CycleClock::FrequencyHz();
-  result.status = ctx->status();  // the tail may have failed
-  result.reason = ReasonFromStatus(result.status);
-  if (!result.status.ok()) result.table.reset();
 
   // Reward pass: only a fully successful query teaches (failed or
   // cancelled runs carry partial timings that would poison the stats).
@@ -565,9 +457,6 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
         }
       }
       book->Reward(d, tuples, cycles);
-    }
-    if (have_tail_decision) {
-      book->Reward(tail_decision.first, tail_tuples, tail_decision.second);
     }
   }
   return result;

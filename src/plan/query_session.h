@@ -6,19 +6,20 @@
 //   plan::QuerySession session;
 //   RunResult r = session.Run(plan, plan::ExecMode::kAuto);
 //
-// Parallel runs execute the plan's StagePlan (plan/compiler.h) stage by
-// stage in dependency order: pipeline, join-build and aggregation
-// stages fan out over the work-stealing morsel pool; sort and merge-
-// join stages run serially on the session engine; non-terminal stages
-// materialize into IntermediateTables that later stages scan like base
-// tables.
+// Parallel runs execute the plan's StagePlan (plan/compiler.h) in one
+// loop, stage by stage in dependency order: pipeline, join-build and
+// aggregation stages fan out over the work-stealing morsel pool; a
+// Sort+Limit over a large input runs as a parallel TopN; other sort
+// and merge-join stages run serially on the session engine. Every
+// stage but the last materializes into an IntermediateTable that later
+// stages scan like a base table; the last stage's output is the result.
 //
 // Determinism contract: a plan produces byte-identical result tables
 // under kSerial and kParallel at any thread count — streaming output
 // merges in morsel order, aggregation group outputs emit in packed-key
 // order with f64 sums accumulated order-independently (fixed point),
-// sort/merge stages consume inputs that are already byte-identical, and
-// tail sorts run serially over the merged result either way.
+// TopN merges per-worker heaps under the serial sort's comparator, and
+// sort/merge stages consume inputs that are already byte-identical.
 #ifndef MA_PLAN_QUERY_SESSION_H_
 #define MA_PLAN_QUERY_SESSION_H_
 
@@ -96,7 +97,7 @@ class QuerySession {
   /// pipelines (kParallel/kAuto may fall back to serial).
   bool last_run_parallel() const { return last_run_parallel_; }
 
-  /// The serial engine (also runs sort/merge stages and tails); holds
+  /// The serial engine (also runs serial sort and merge stages); holds
   /// the primitive-instance profile of serial runs.
   Engine* engine() { return &engine_; }
 

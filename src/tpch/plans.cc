@@ -814,12 +814,13 @@ plan::LogicalPlan Q14Plan(const TpchData& d) {
   // promo and total revenue are both single-group aggregates; grouping
   // them on a constant key ("one") makes the pair joinable, and the
   // share computes in the projection above the join — no scalar
-  // post-processing outside the plan.
+  // post-processing outside the plan. The LEFT OUTER join keeps the
+  // total when no PROMO row qualifies (promo defaults to 0), the CASE
+  // guards the division, and an empty date window has no total row, so
+  // it returns no rows.
   //
-  // Plans are trees, so the shipdate-filter + part-join pipeline below
-  // both aggregates is built (and executed) once per side. The old
-  // hand-built query shared one temp table instead; recovering that
-  // sharing needs common-subplan nodes in the plan layer (ROADMAP).
+  // The shipdate-filter + part-join pipeline below both aggregates is
+  // written twice; the stage compiler's automatic CSE runs it once.
   auto base = [&d](const std::string& label) {
     HashJoinSpec pj;
     pj.build_key = "p_partkey";
@@ -859,12 +860,14 @@ plan::LogicalPlan Q14Plan(const TpchData& d) {
   HashJoinSpec fj;
   fj.build_key = "one";
   fj.probe_key = "one";
+  fj.kind = HashJoinSpec::Kind::kLeftOuter;
   fj.build_outputs = {{"promo", "promo"}};
   fj.probe_outputs = {"total"};
 
   std::vector<Out> outs;
   outs.push_back({"promo_revenue",
-                  Div(Mul(Col("promo"), Lit(100.0)), Col("total"))});
+                  Case(Eq(Col("total"), Lit(0.0)), Lit(0.0),
+                       Div(Mul(Col("promo"), Lit(100.0)), Col("total")))});
 
   return base("q14")
       .GroupBy({GK{"one", 1}}, {"one"}, std::move(ta), "q14/total_agg")
@@ -1363,11 +1366,6 @@ plan::LogicalPlan Q21Plan(const TpchData& d) {
       .Build();
 }
 
-bool HasPlan(int q) {
-  MA_CHECK(q >= 1 && q <= 22);
-  return true;  // all 22 queries are plan-level ports now
-}
-
 plan::LogicalPlan PlanForQuery(const TpchData& d, int q) {
   switch (q) {
     case 1: return Q1Plan(d);
@@ -1393,7 +1391,7 @@ plan::LogicalPlan PlanForQuery(const TpchData& d, int q) {
     case 21: return Q21Plan(d);
     case 22: return Q22Plan(d);
     default:
-      MA_CHECK(false);  // caller gates on HasPlan(q)
+      MA_CHECK(false);  // q outside 1..22
       return plan::LogicalPlan{};
   }
 }

@@ -4,7 +4,7 @@
 // aggregate below joins (Q10, Q12, Q14), re-aggregate an aggregation
 // (Q16, Q21), merge-join inside a plan (Q12), fold scalar-subquery
 // results into predicates (Q11, Q15, Q22), patch probe misses with a
-// LEFT OUTER join (Q13), compute CASE/substring value expressions in
+// LEFT OUTER join (Q13, Q14), compute CASE/substring value expressions in
 // projections (Q8, Q22), and share one subplan across several
 // consumers — explicitly with PlanBuilder::BindShared (Q21's late
 // lines) or implicitly via the compiler's automatic deduplication of
@@ -128,16 +128,12 @@ plan::LogicalPlan Q22Plan(const TpchData& d);
 plan::LogicalPlan Q12Plan(const TpchData& d);
 
 /// Q14: promotion effect. Promo and total revenue aggregated on a
-/// constant key and joined — both hash-join sides fed by aggregations.
+/// constant key and LEFT OUTER joined — both hash-join sides fed by
+/// aggregations. A window without PROMO rows yields 0, an empty window
+/// yields no rows.
 plan::LogicalPlan Q14Plan(const TpchData& d);
 
-/// True when query `q` (1..22) has a plan-level port above. All 22
-/// queries do — the workload and the serving layer
-/// (serve/workload_server.h) drive every query through
-/// plan::QuerySession. Kept for call-site compatibility.
-bool HasPlan(int q);
-
-/// The ported plan for query `q`; MA_CHECKs HasPlan(q).
+/// The plan for query `q` (1..22).
 plan::LogicalPlan PlanForQuery(const TpchData& d, int q);
 
 }  // namespace ma::tpch

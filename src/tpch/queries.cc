@@ -1,7 +1,5 @@
 #include "tpch/queries.h"
 
-#include <cmath>
-
 #include "common/cycleclock.h"
 
 #include "plan/compiler.h"
@@ -28,30 +26,7 @@ RunResult RunPlan(Engine* e, const plan::LogicalPlan& p) {
     r.reason = ReasonFromStatus(r.status);
     return r;
   }
-  return e->Run(*root);
-}
-
-// =====================================================================
-// Q14: promotion effect — the plan's division has no zero guard, so
-// keep the historical contract for degenerate data windows.
-// =====================================================================
-RunResult Q14(Engine* e, const TpchData& d) {
-  RunResult r = RunPlan(e, Q14Plan(d));
-  // Degenerate windows lose the plan's division guard: an empty date
-  // window joins to zero rows, and an all-zero revenue total divides to
-  // inf/NaN. Keep the historical contract of one finite zero row
-  // (callers index row 0 of the single-value result).
-  const bool ok = r.table->row_count() == 1 &&
-                  std::isfinite(r.table->FindColumn("promo_revenue")
-                                    ->Data<f64>()[0]);
-  if (!ok) {
-    r.table = std::make_unique<Table>("result");
-    r.table->AddColumn("promo_revenue", PhysicalType::kF64)
-        ->Append<f64>(0.0);
-    r.table->set_row_count(1);
-    r.rows_emitted = 1;
-  }
-  return r;
+  return plan::WithDeclaredSchema(p.root->schema, e->Run(*root));
 }
 
 }  // namespace
@@ -74,16 +49,6 @@ const char* QueryName(int q) {
   return kNames[q];
 }
 
-namespace {
-
-RunResult DispatchQuery(Engine* e, const TpchData& d, int q) {
-  MA_CHECK(q >= 1 && q <= kNumQueries);
-  if (q == 14) return Q14(e, d);
-  return RunPlan(e, PlanForQuery(d, q));
-}
-
-}  // namespace
-
 RunResult RunQuery(Engine* e, const TpchData& d, int q) {
   // Per-query time and the primitive-cycle total must cover the whole
   // compilation + execution (including scalar subqueries and shared
@@ -91,7 +56,7 @@ RunResult RunQuery(Engine* e, const TpchData& d, int q) {
   // whole query here rather than relying on the last stage's RunResult.
   const u64 prim0 = e->TotalPrimitiveCycles();
   const u64 t0 = CycleClock::Now();
-  RunResult r = DispatchQuery(e, d, q);
+  RunResult r = RunPlan(e, PlanForQuery(d, q));
   r.total_cycles = CycleClock::Now() - t0;
   r.seconds =
       static_cast<f64>(r.total_cycles) / CycleClock::FrequencyHz();

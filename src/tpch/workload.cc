@@ -71,32 +71,22 @@ ModeRun RunAllQueries(const EngineConfig& config, const TpchData& data,
   run.query_seconds.resize(kNumQueries);
   run.instances.resize(kNumQueries);
   for (int q = 1; q <= kNumQueries; ++q) {
-    RunResult r;
-    if (HasPlan(q)) {
-      // Plan-ported: the QuerySession path — the same entry point the
-      // serving layer drives — with a fresh session per query so
-      // instances and bandit state stay per-query. Serial mode keeps
-      // primitive call sequences identical across the evaluation modes
-      // (the APH alignment the OPT approximation relies on).
-      plan::SessionConfig sc;
-      sc.engine = config;
-      plan::QuerySession session(sc, &PrimitiveDictionary::Global());
-      const plan::LogicalPlan p = PlanForQuery(data, q);
-      const u64 t0 = CycleClock::Now();
-      r = session.Run(p, plan::ExecMode::kSerial);
-      r.total_cycles = CycleClock::Now() - t0;
-      r.seconds =
-          static_cast<f64>(r.total_cycles) / CycleClock::FrequencyHz();
-      r.stages.primitives = session.engine()->TotalPrimitiveCycles();
-      run.query_seconds[q - 1] = r.seconds;
-      HarvestProfiles(*session.engine(), &run.instances[q - 1]);
-    } else {
-      // Hand-built tree: the legacy Engine path.
-      Engine engine(config);
-      r = RunQuery(&engine, data, q);
-      run.query_seconds[q - 1] = r.seconds;
-      HarvestProfiles(engine, &run.instances[q - 1]);
-    }
+    // The QuerySession path — the same entry point the serving layer
+    // drives — with a fresh session per query so instances and bandit
+    // state stay per-query. Serial mode keeps primitive call sequences
+    // identical across the evaluation modes (the APH alignment the OPT
+    // approximation relies on).
+    plan::SessionConfig sc;
+    sc.engine = config;
+    plan::QuerySession session(sc, &PrimitiveDictionary::Global());
+    const plan::LogicalPlan p = PlanForQuery(data, q);
+    const u64 t0 = CycleClock::Now();
+    RunResult r = session.Run(p, plan::ExecMode::kSerial);
+    r.total_cycles = CycleClock::Now() - t0;
+    r.seconds = static_cast<f64>(r.total_cycles) / CycleClock::FrequencyHz();
+    r.stages.primitives = session.engine()->TotalPrimitiveCycles();
+    run.query_seconds[q - 1] = r.seconds;
+    HarvestProfiles(*session.engine(), &run.instances[q - 1]);
     if (!quiet) {
       std::printf("  [%s] %-28s %8.3f ms, %zu rows\n", run.name.c_str(),
                   QueryName(q), r.seconds * 1e3,
@@ -115,7 +105,6 @@ ServeWorkloadReport RunWorkloadConcurrently(const TpchData& data,
   {
     plan::QuerySession session;
     for (int q = 1; q <= kNumQueries; ++q) {
-      if (!HasPlan(q)) continue;
       const plan::LogicalPlan p = PlanForQuery(data, q);
       RunResult r = session.Run(p, plan::ExecMode::kSerial);
       MA_CHECK(r.status.ok() && r.table != nullptr);
@@ -149,7 +138,6 @@ ServeWorkloadReport RunWorkloadConcurrently(const TpchData& data,
         std::vector<std::pair<int, serve::QueryHandle>> handles;
         for (int round = 0; round < cfg.rounds; ++round) {
           for (int q = 1; q <= kNumQueries; ++q) {
-            if (!HasPlan(q)) continue;
             plans.push_back(PlanForQuery(data, q));
             serve::SubmitOptions opts;
             if (cfg.fault_probability > 0) opts.injector = &injector;

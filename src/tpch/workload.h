@@ -42,15 +42,14 @@ struct ModeRun {
 };
 
 /// Runs all 22 queries; fresh engine state per query (instances and
-/// bandit state are per-query, as in Vectorwise). Plan-ported queries
-/// (plans.h HasPlan) run through plan::QuerySession — the same entry
-/// point the serving layer uses — and the remaining hand-built trees
-/// take the legacy Engine path.
+/// bandit state are per-query, as in Vectorwise). Every query runs its
+/// plan (plans.h) serially through plan::QuerySession — the same entry
+/// point the serving layer uses.
 ModeRun RunAllQueries(const EngineConfig& config, const TpchData& data,
                       std::string name, bool quiet = true);
 
 /// Concurrent serving driver: `submitters` threads each submit every
-/// plan-ported query `rounds` times through one WorkloadServer, wait
+/// query `rounds` times through one WorkloadServer, wait
 /// for their results, and check every completed table byte-for-byte
 /// against a serial single-tenant baseline. Used by the serve stress
 /// step in CI and by bench_scaling's concurrency section.

@@ -1,10 +1,12 @@
 // Randomized differential testing of the two executors: a seeded
 // generator builds a few hundred small logical plans — filter / project
-// / hash-join / group-by / sort pipelines over the dbgen tables, a
-// quarter of them DAG-shaped (duplicated subtrees for the compiler's
-// automatic CSE, or explicit BindShared/SharedRef fan-out) — and every
-// plan must produce byte-identical results serially and through the
-// staged parallel executor at 1, 2 and 4 worker threads.
+// / hash-join / group-by / sort / limit pipelines over the dbgen tables,
+// including HAVING-style filters and projections above an aggregation
+// and top-N sorts large enough for the parallel TopN path, a quarter of
+// them DAG-shaped (duplicated subtrees for the compiler's automatic CSE,
+// or explicit BindShared/SharedRef fan-out) — and every plan must
+// produce byte-identical results serially and through the staged
+// parallel executor at 1, 2 and 4 worker threads.
 //
 // The TPC-H suites pin 22 hand-written shapes; this one walks the
 // random neighborhood around them, so an executor bug that happens to
@@ -66,7 +68,7 @@ void DumpNode(const plan::PlanNode& n, int depth, std::string* out) {
     out->append(" ").append(n.hash_spec.build_key);
     out->append("=").append(n.hash_spec.probe_key);
   }
-  if (n.kind == plan::NodeKind::kSort) {
+  if (n.kind == plan::NodeKind::kSort || n.kind == plan::NodeKind::kLimit) {
     for (const auto& k : n.sort_keys) {
       out->append(" ").append(k.column).append(k.desc ? ":desc" : ":asc");
     }
@@ -156,12 +158,30 @@ PlanBuilder LineitemSpine(const TpchData& d, Rng rng) {
   return b;
 }
 
+/// Input rows at which the staged executor runs a Sort+Limit as a
+/// parallel TopN (kParallelTopNMinRows in plan/query_session.cc).
+constexpr size_t kParallelTopNMinRows = 4096;
+
+/// What GrowRandomPlan must include on top of its random choices.
+enum class Shape {
+  kAny,
+  kJoins,  // both joins, inner
+  // Inner joins with unfiltered builds, no aggregation, and a
+  // Sort+Limit on top: every lineitem row of an unfiltered spine
+  // reaches the sort, so it runs as a parallel TopN.
+  kTopN,
+};
+
 /// Grows a random plan on top of the spine: optional value projection,
 /// optional orders / supplier joins (inner, semi or anti), optional
-/// aggregation, optional (top-N) sort. Tracks which f64 measure is
-/// still in scope so every step references a live column.
+/// aggregation with an optional HAVING-style filter and projection
+/// above it, optional (top-N) sort, optional key-less limit. Tracks
+/// which f64 measure is still in scope so every step references a live
+/// column.
 plan::LogicalPlan GrowRandomPlan(const TpchData& d, PlanBuilder b,
-                                 Rng* rng, bool force_joins) {
+                                 Rng* rng, Shape shape) {
+  const bool force_joins = shape != Shape::kAny;
+  const bool topn = shape == Shape::kTopN;
   std::string measure = "l_extendedprice";
   if (rng->Chance(30)) {
     std::vector<ProjectOperator::Output> outs;
@@ -185,7 +205,7 @@ plan::LogicalPlan GrowRandomPlan(const TpchData& d, PlanBuilder b,
   if (force_joins || rng->Chance(50)) {
     PlanBuilder orders =
         PlanBuilder::Scan(d.orders, {"o_orderkey", "o_totalprice"});
-    if (rng->Chance(40)) {
+    if (!topn && rng->Chance(40)) {
       orders.Filter(Cmp(rng->Next(), Col("o_totalprice"),
                         Lit(SampleF64(d.orders, "o_totalprice", rng))));
     }
@@ -208,7 +228,7 @@ plan::LogicalPlan GrowRandomPlan(const TpchData& d, PlanBuilder b,
   if (force_joins || rng->Chance(40)) {
     PlanBuilder supp =
         PlanBuilder::Scan(d.supplier, {"s_suppkey", "s_acctbal"});
-    if (rng->Chance(40)) {
+    if (!topn && rng->Chance(40)) {
       supp.Filter(Gt(Col("s_acctbal"),
                      Lit(SampleF64(d.supplier, "s_acctbal", rng))));
     }
@@ -229,7 +249,7 @@ plan::LogicalPlan GrowRandomPlan(const TpchData& d, PlanBuilder b,
   }
 
   bool grouped = false;
-  if (rng->Chance(60)) {
+  if (!topn && rng->Chance(60)) {
     const bool by_supp = rng->Chance(50);
     HashAggOperator::GroupKey key{by_supp ? "l_suppkey" : "l_orderkey",
                                   by_supp ? 24 : 36};
@@ -245,9 +265,22 @@ plan::LogicalPlan GrowRandomPlan(const TpchData& d, PlanBuilder b,
     aggs.push_back(std::move(cnt));
     b.GroupBy({key}, {key.column}, std::move(aggs), "diff/agg");
     grouped = true;
+    if (rng->Chance(30)) {
+      b.Filter(Ge(Col("cnt"), Lit(static_cast<i64>(1 + rng->Below(3)))),
+               "diff/having");
+    }
+    if (rng->Chance(30)) {
+      // Same names, new values: the sort keys below stay valid.
+      std::vector<ProjectOperator::Output> outs;
+      outs.push_back({key.column, Col(key.column)});
+      outs.push_back({"sum_v", Mul(Col("sum_v"), Lit(0.5))});
+      outs.push_back({"cnt", Add(Col("cnt"), Lit(static_cast<i64>(1)))});
+      b.Project(std::move(outs), "diff/agg_project");
+    }
   }
 
-  if (rng->Chance(70)) {
+  bool sorted = false;
+  if (topn || rng->Chance(70)) {
     std::vector<SortKey> keys;
     if (grouped) {
       keys.push_back({rng->Chance(50) ? "sum_v" : "cnt", rng->Chance(50)});
@@ -257,8 +290,13 @@ plan::LogicalPlan GrowRandomPlan(const TpchData& d, PlanBuilder b,
       keys.push_back({"l_orderkey", rng->Chance(30)});
       keys.push_back({"l_suppkey", false});
     }
-    const size_t limit = rng->Chance(50) ? 1 + rng->Below(100) : 0;
+    const size_t limit =
+        topn || rng->Chance(50) ? 1 + rng->Below(100) : 0;
     b.Sort(std::move(keys), limit, "diff/sort");
+    sorted = true;
+  }
+  if (!sorted && rng->Chance(30)) {
+    b.Limit(1 + rng->Below(200), "diff/limit");
   }
   return b.Build();
 }
@@ -304,30 +342,41 @@ plan::LogicalPlan GrowSharedPlan(const TpchData& d, Rng* rng,
   spec.use_bloom = rng->Chance(50) && kEnableBloom;
   probe.HashJoin(std::move(build), std::move(spec), "diff/shared_join");
 
-  return GrowRandomPlan(d, std::move(probe), rng, /*force_joins=*/false);
+  return GrowRandomPlan(d, std::move(probe), rng, Shape::kAny);
 }
 
 TEST_F(PlanDifferentialTest, TwoHundredRandomPlansByteIdentical) {
   constexpr int kNumPlans = 200;
   Rng rng{0x5eed5eed5eed5eedull};
 
+  ASSERT_GE(data_->lineitem->row_count(), kParallelTopNMinRows);
   plan::QuerySession serial_session{plan::SessionConfig{}};
   for (int i = 0; i < kNumPlans; ++i) {
     // Every 4th plan is DAG-shaped; explicit BindShared and implicit
-    // duplicate-subtree CSE alternate.
+    // duplicate-subtree CSE alternate. Every 8th is a top-N sort over
+    // the unfiltered lineitem table.
     plan::LogicalPlan plan;
-    switch (i % 4) {
+    switch (i % 8) {
       case 3:
-        plan = GrowSharedPlan(*data_, &rng, /*explicit_shared=*/(i % 8) == 3);
+      case 7:
+        plan = GrowSharedPlan(*data_, &rng, /*explicit_shared=*/i % 8 == 3);
+        break;
+      case 6:
+        plan = GrowRandomPlan(
+            *data_, PlanBuilder::Scan(data_->lineitem, {"l_orderkey",
+                                                        "l_suppkey",
+                                                        "l_extendedprice",
+                                                        "l_discount"}),
+            &rng, Shape::kTopN);
         break;
       case 2:
         plan = GrowRandomPlan(*data_, LineitemSpine(*data_, rng), &rng,
-                              /*force_joins=*/true);
+                              Shape::kJoins);
         rng.Next();
         break;
       default:
         plan = GrowRandomPlan(*data_, LineitemSpine(*data_, rng), &rng,
-                              /*force_joins=*/false);
+                              Shape::kAny);
         rng.Next();
         break;
     }

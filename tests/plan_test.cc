@@ -445,7 +445,7 @@ TEST(PlanParityTest, JoinFeedingAggregationWithHavingTail) {
                    .HashJoin(PlanBuilder::Scan(build.get(), {"a", "x"}),
                              InnerSpec())
                    .GroupBy({{"g", 4}}, {"g"}, std::move(aggs))
-                   .Filter(Gt(Col("cnt"), Lit(0)))  // post-agg tail
+                   .Filter(Gt(Col("cnt"), Lit(0)))  // HAVING: pipeline stage
                    .Sort({{"g", false}})
                    .Build());
 }
@@ -500,25 +500,29 @@ TEST(PlanFragmentTest, JoinAggSortSplitsIntoStages) {
   const PlanNode* nested_join = join2->children[0].get();
   ASSERT_EQ(nested_join->kind, NodeKind::kHashJoin);
 
-  // Three join-build stages in dependency order, then the final
-  // aggregation stage over the spine pipeline.
-  ASSERT_EQ(sp.stages.size(), 4u) << sp.Describe();
+  // Three join-build stages in dependency order, the aggregation stage
+  // over the spine pipeline, then the sort stage producing the result.
+  ASSERT_EQ(sp.stages.size(), 5u) << sp.Describe();
   EXPECT_EQ(sp.stages[0].kind, Stage::Kind::kJoinBuild);
   EXPECT_EQ(sp.stages[0].join, nested_join);  // dependency first
   EXPECT_EQ(sp.stages[1].join, join2);
   ASSERT_EQ(sp.stages[1].deps.size(), 1u);
   EXPECT_EQ(sp.stages[1].deps[0], 0);  // probes the nested build
   EXPECT_EQ(sp.stages[2].join, join1);
-  const Stage& last = sp.stages[3];
-  EXPECT_EQ(last.kind, Stage::Kind::kAggregate);
-  EXPECT_EQ(last.agg, agg);
-  EXPECT_EQ(last.root, join2);
-  EXPECT_EQ(last.input.scan, spine_scan);
+  const Stage& aggregate = sp.stages[3];
+  EXPECT_EQ(aggregate.kind, Stage::Kind::kAggregate);
+  EXPECT_EQ(aggregate.agg, agg);
+  EXPECT_EQ(aggregate.root, join2);
+  EXPECT_EQ(aggregate.input.scan, spine_scan);
+  EXPECT_TRUE(aggregate.materialize);
+  EXPECT_EQ(aggregate.deps, (std::vector<int>{1, 2}));
+  const Stage& last = sp.stages[4];
+  EXPECT_EQ(last.kind, Stage::Kind::kSort);
+  EXPECT_EQ(last.input.stage, 3);
+  EXPECT_EQ(last.sort_keys.size(), sort->sort_keys.size());
+  EXPECT_EQ(last.limit, sort->limit);
   EXPECT_FALSE(last.materialize);
-  EXPECT_EQ(last.deps, (std::vector<int>{1, 2}));
-  EXPECT_EQ(sp.final_stage, 3);
-  ASSERT_EQ(sp.tail.size(), 1u);
-  EXPECT_EQ(sp.tail[0], sort);
+  EXPECT_EQ(last.deps, (std::vector<int>{3}));
 
   // The parity machinery also runs this shape (small tables, so force
   // the parallel mode).
@@ -560,9 +564,9 @@ TEST(PlanFragmentTest, AggFeedingJoinMaterializesIntermediate) {
   ASSERT_EQ(agg->kind, NodeKind::kGroupBy);
 
   // The dimension build comes first, then the aggregate stage
-  // materializes, and the final pipeline scans the intermediate while
-  // probing the build.
-  ASSERT_EQ(sp.stages.size(), 3u) << sp.Describe();
+  // materializes, the join pipeline scans that intermediate while
+  // probing the build, and the sort over its output is the last stage.
+  ASSERT_EQ(sp.stages.size(), 4u) << sp.Describe();
   EXPECT_EQ(sp.stages[0].kind, Stage::Kind::kJoinBuild);
   EXPECT_EQ(sp.stages[0].join, join);
   EXPECT_EQ(sp.stages[1].kind, Stage::Kind::kAggregate);
@@ -571,13 +575,55 @@ TEST(PlanFragmentTest, AggFeedingJoinMaterializesIntermediate) {
   ASSERT_EQ(sp.stages[1].out_schema.size(), 2u);
   EXPECT_EQ(sp.stages[1].out_schema[0].name, "g");
   EXPECT_EQ(sp.stages[1].out_schema[1].name, "sum_x");
-  const Stage& last = sp.stages[2];
-  EXPECT_EQ(last.kind, Stage::Kind::kPipeline);
-  EXPECT_TRUE(last.input.from_stage());
-  EXPECT_EQ(last.input.stage, 1);  // scans the materialized aggregate
-  EXPECT_EQ(last.stop, agg);
+  const Stage& probe = sp.stages[2];
+  EXPECT_EQ(probe.kind, Stage::Kind::kPipeline);
+  EXPECT_TRUE(probe.input.from_stage());
+  EXPECT_EQ(probe.input.stage, 1);  // scans the materialized aggregate
+  EXPECT_EQ(probe.stop, agg);
+  EXPECT_TRUE(probe.materialize);
+  EXPECT_EQ(probe.deps, (std::vector<int>{0, 1}));
+  const Stage& last = sp.stages[3];
+  EXPECT_EQ(last.kind, Stage::Kind::kSort);
+  EXPECT_EQ(last.input.stage, 2);
   EXPECT_FALSE(last.materialize);
-  EXPECT_EQ(last.deps, (std::vector<int>{0, 1}));
+
+  ExpectParity(plan, /*morsel_size=*/512);
+}
+
+TEST(PlanFragmentTest, FilterAboveAggregateIsLastPipelineStage) {
+  auto t = MakeNumbersTable(8192);
+  std::vector<HashAggOperator::AggSpec> aggs;
+  {
+    HashAggOperator::AggSpec a;
+    a.fn = "count";
+    a.out_name = "cnt";
+    aggs.push_back(std::move(a));
+  }
+  std::vector<ProjectOperator::Output> outs;
+  outs.push_back({"g", Col("g")});
+  outs.push_back({"twice", Mul(Col("cnt"), Lit(2))});
+  PlanBuilder b = PlanBuilder::Scan(t.get(), {"g", "x"});
+  b.GroupBy({{"g", 4}}, {"g"}, std::move(aggs))
+      .Filter(Gt(Col("cnt"), Lit(1000)))
+      .Project(std::move(outs));
+  const LogicalPlan plan = b.Build();
+  ASSERT_TRUE(plan.ok()) << plan.status.message();
+  const PlanNode* agg = plan.root->children[0]->children[0].get();
+  ASSERT_EQ(agg->kind, NodeKind::kGroupBy);
+
+  // The HAVING filter and the projection above the aggregation form
+  // one pipeline stage that scans the aggregate's intermediate.
+  StagePlan sp;
+  ASSERT_TRUE(Compiler::BuildStagePlan(plan, &sp).ok());
+  ASSERT_EQ(sp.stages.size(), 2u) << sp.Describe();
+  EXPECT_EQ(sp.stages[0].kind, Stage::Kind::kAggregate);
+  EXPECT_TRUE(sp.stages[0].materialize);
+  const Stage& last = sp.stages[1];
+  EXPECT_EQ(last.kind, Stage::Kind::kPipeline);
+  EXPECT_EQ(last.root, plan.root.get());
+  EXPECT_EQ(last.stop, agg);
+  EXPECT_EQ(last.input.stage, 0);
+  EXPECT_FALSE(last.materialize);
 
   ExpectParity(plan, /*morsel_size=*/512);
 }

@@ -292,6 +292,103 @@ TEST_F(StagedQueriesTest, Q14ByteIdenticalStaged) {
   ExpectStagedParity(Q14Plan(*data_), "Q14");
 }
 
+/// Copies the lineitem columns Q14 reads, keeping the rows `keep`
+/// accepts.
+template <typename Keep>
+std::unique_ptr<Table> FilteredLineitem(const Table& l, Keep keep) {
+  auto t = std::make_unique<Table>("lineitem");
+  size_t rows = 0;
+  for (size_t i = 0; i < l.row_count(); ++i) rows += keep(i) ? 1 : 0;
+  for (const char* name :
+       {"l_partkey", "l_extendedprice", "l_discount", "l_shipdate"}) {
+    const Column* src = l.FindColumn(name);
+    Column* dst = t->AddColumn(name, src->type());
+    for (size_t i = 0; i < l.row_count(); ++i) {
+      if (!keep(i)) continue;
+      if (src->type() == PhysicalType::kF64) {
+        dst->Append<f64>(src->Data<f64>()[i]);
+      } else {
+        dst->Append<i64>(src->Data<i64>()[i]);
+      }
+    }
+  }
+  t->set_row_count(rows);
+  return t;
+}
+
+TEST_F(StagedQueriesTest, Q14DegenerateWindowsAgreeOnEveryPath) {
+  TpchConfig cfg;
+  cfg.scale_factor = 0.005;
+  const std::unique_ptr<TpchData> full = Generate(cfg);
+  const Table& l = *full->lineitem;
+  const i64* ship = l.FindColumn("l_shipdate")->Data<i64>();
+  const i64* partkey = l.FindColumn("l_partkey")->Data<i64>();
+  const i64 lo = Date(1995, 9, 1);
+  const i64 hi = Date(1995, 10, 1);
+  const auto in_window = [&](size_t i) { return ship[i] >= lo && ship[i] < hi; };
+
+  // Part key -> PROMO type (PROMO occupies type codes [promo_lo,
+  // promo_lo + 25)).
+  const Table& part = *full->part;
+  const i64 promo_lo = CodeOf(TypeSyllable1(), "PROMO") * 25;
+  std::map<i64, bool> promo;
+  for (size_t i = 0; i < part.row_count(); ++i) {
+    const i64 code = part.FindColumn("p_type_code")->Data<i64>()[i];
+    promo[part.FindColumn("p_partkey")->Data<i64>()[i]] =
+        code >= promo_lo && code < promo_lo + 25;
+  }
+
+  struct Case {
+    const char* name;
+    std::unique_ptr<Table> lineitem;
+    size_t rows;
+  };
+  Case cases[] = {
+      {"no PROMO rows in the window",
+       FilteredLineitem(l, [&](size_t i) {
+         return !(in_window(i) && promo[partkey[i]]);
+       }),
+       1},
+      {"empty window",
+       FilteredLineitem(l, [&](size_t i) { return !in_window(i); }), 0},
+  };
+  for (Case& c : cases) {
+    TpchData d;
+    d.part = full->part;
+    d.lineitem = c.lineitem.get();
+    const plan::LogicalPlan plan = Q14Plan(d);
+    ASSERT_TRUE(plan.ok()) << c.name << ": " << plan.status.message();
+
+    plan::QuerySession serial_session{plan::SessionConfig{}};
+    const RunResult ref = serial_session.Run(plan, plan::ExecMode::kSerial);
+    ASSERT_TRUE(ref.ok()) << c.name << ": " << ref.status.ToString();
+    ASSERT_EQ(ref.table->row_count(), c.rows) << c.name;
+    if (c.rows == 1) {
+      EXPECT_EQ(ref.table->FindColumn("promo_revenue")->Data<f64>()[0], 0.0)
+          << c.name;
+    }
+    const u64 ref_fp = ExactFingerprint(*ref.table);
+
+    Engine engine(DefaultConfig());
+    const RunResult direct = RunQuery(&engine, d, 14);
+    ASSERT_TRUE(direct.ok()) << c.name << ": " << direct.status.ToString();
+    EXPECT_EQ(ExactFingerprint(*direct.table), ref_fp)
+        << c.name << ": tpch::RunQuery";
+
+    for (const int threads : {1, 2, 4}) {
+      plan::SessionConfig sc;
+      sc.parallel.num_threads = threads;
+      sc.parallel.morsel_size = 1024;
+      plan::QuerySession session{sc};
+      const RunResult got = session.Run(plan, plan::ExecMode::kParallel);
+      ASSERT_TRUE(got.ok()) << c.name << ": " << got.status.ToString();
+      ASSERT_TRUE(session.last_run_parallel()) << c.name;
+      EXPECT_EQ(ExactFingerprint(*got.table), ref_fp)
+          << c.name << " diverged at " << threads << " threads";
+    }
+  }
+}
+
 TEST_F(StagedQueriesTest, Q15ByteIdenticalStaged) {
   ExpectStagedParity(Q15Plan(*data_), "Q15");
 }

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -370,16 +371,47 @@ TEST(ParallelTopNTest, SessionSortLimitPlanIdenticalAcrossThreads) {
   auto t = MakeMixedTable(32 * 1024);
   const LogicalPlan p = TopNPlan(t.get(), 50);
   const u64 serial_fp = SerialFingerprint(p);
+  plan::StagePlan sp;
+  ASSERT_TRUE(plan::Compiler::BuildStagePlan(p, &sp).ok());
+  ASSERT_EQ(sp.stages.back().kind, plan::Stage::Kind::kSort);
+  const std::string sort_site =
+      "/s" + std::to_string(sp.stages.back().id);
   for (const int threads : {1, 2, 4}) {
-    plan::SessionConfig sc;
-    sc.parallel.num_threads = threads;
-    sc.parallel.morsel_size = 2048;
-    sc.min_parallel_rows = 4096;
-    QuerySession session(sc);
-    const RunResult r = session.Run(p, plan::ExecMode::kParallel);
-    ASSERT_TRUE(r.ok()) << r.status.ToString();
-    EXPECT_EQ(ExactFingerprint(*r.table), serial_fp)
-        << threads << " threads";
+    for (const bool macro_on : {false, true}) {
+      plan::SessionConfig sc;
+      sc.parallel.num_threads = threads;
+      sc.parallel.morsel_size = 2048;
+      sc.min_parallel_rows = 4096;
+      sc.macro.enabled = macro_on;
+      sc.macro.params.explore_every = 2;
+      sc.macro.small_morsel_rows = 512;
+      sc.macro.large_morsel_rows = 8192;
+      if (macro_on) {
+        sc.macro.book = std::make_shared<StrategyBook>(sc.macro.params);
+      }
+      QuerySession session(sc);
+      // With macro-adaptivity on, repeated runs walk the root sort
+      // stage's bandits through their arms; the bytes never move.
+      for (int round = 0; round < (macro_on ? 6 : 1); ++round) {
+        const RunResult r = session.Run(p, plan::ExecMode::kParallel);
+        ASSERT_TRUE(r.ok()) << r.status.ToString();
+        EXPECT_EQ(ExactFingerprint(*r.table), serial_fp)
+            << threads << " threads, macro=" << macro_on
+            << " round=" << round;
+      }
+      if (!macro_on) continue;
+      // The TopN is decided at its own stage site, with the thread
+      // count and morsel size arms every stage gets.
+      std::set<StrategyKind> kinds;
+      for (const StrategyProfile& rec : sc.macro.book->ExportDelta()) {
+        if (rec.site.ends_with(sort_site)) kinds.insert(rec.kind);
+        EXPECT_FALSE(rec.site.ends_with("/tail")) << rec.site;
+      }
+      EXPECT_TRUE(kinds.count(StrategyKind::kThreadCount))
+          << threads << " threads";
+      EXPECT_TRUE(kinds.count(StrategyKind::kMorselSize))
+          << threads << " threads";
+    }
   }
 }
 
