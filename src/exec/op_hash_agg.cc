@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "prim/aggr_kernels.h"
 
@@ -29,6 +30,10 @@ Status HashAggOperator::Open() {
   if (!group_keys_.empty()) {
     insertcheck_ = engine_->NewInstance("ht_insertcheck_i64_col",
                                         label_ + "/insertcheck");
+    // Runs share the first (most significant) key's value.
+    int total_bits = 0;
+    for (const GroupKey& k : group_keys_) total_bits += k.bits;
+    table_.ArmRunMode(total_bits - group_keys_[0].bits);
   } else {
     table_.FindOrInsert(0);  // the single global group
   }
@@ -74,13 +79,28 @@ Status HashAggOperator::Open() {
   }
   ResizeAccumulators();
   emit_order_.clear();
-  if (emit_key_sorted_ && !group_keys_.empty() && table_.num_groups() > 1) {
-    emit_order_.resize(table_.num_groups());
-    for (u32 g = 0; g < table_.num_groups(); ++g) emit_order_[g] = g;
-    std::sort(emit_order_.begin(), emit_order_.end(),
-              [this](u32 a, u32 b) {
-                return table_.KeyOfGroup(a) < table_.KeyOfGroup(b);
-              });
+  const std::vector<i64>& keys = table_.keys_by_gid();
+  if (emit_key_sorted_ && !group_keys_.empty() &&
+      !std::is_sorted(keys.begin(), keys.end())) {
+    emit_order_.resize(keys.size());
+    std::iota(emit_order_.begin(), emit_order_.end(), 0u);
+    auto by_key = [&keys](u32 a, u32 b) { return keys[a] < keys[b]; };
+    if (table_.in_run_mode()) {
+      // Runs already ascend by their leading part: sort inside each.
+      const int shift = table_.run_shift();
+      for (size_t begin = 0; begin < keys.size();) {
+        size_t end = begin + 1;
+        while (end < keys.size() &&
+               (keys[end] >> shift) == (keys[begin] >> shift)) {
+          ++end;
+        }
+        std::sort(emit_order_.begin() + begin, emit_order_.begin() + end,
+                  by_key);
+        begin = end;
+      }
+    } else {
+      std::sort(emit_order_.begin(), emit_order_.end(), by_key);
+    }
   }
   return Status::OK();
 }
@@ -172,21 +192,24 @@ void HashAggOperator::ConsumeBatch(Batch& batch) {
 
     // Record first-seen group-output values for new groups.
     if (!group_output_names_.empty()) {
+      // Resolve the columns once per batch, not once per new group.
+      std::vector<const Vector*> out_cols(group_output_names_.size());
+      for (size_t g = 0; g < group_output_names_.size(); ++g) {
+        const int idx = batch.FindColumn(group_output_names_[g]);
+        MA_CHECK(idx >= 0);
+        out_cols[g] = &batch.column(idx);
+      }
       if (group_out_cols_.empty()) {
-        for (const std::string& name : group_output_names_) {
-          const int idx = batch.FindColumn(name);
-          MA_CHECK(idx >= 0);
-          group_out_cols_.push_back(
-              std::make_unique<Column>(batch.column(idx).type()));
+        for (const Vector* col : out_cols) {
+          group_out_cols_.push_back(std::make_unique<Column>(col->type()));
         }
       }
       u32 stored = groups_before;
       auto capture = [&](sel_t i) {
         if (gid_scratch_[i] < stored) return;
         MA_CHECK(gid_scratch_[i] == stored);
-        for (size_t g = 0; g < group_output_names_.size(); ++g) {
-          const int idx = batch.FindColumn(group_output_names_[g]);
-          AppendVectorCell(batch.column(idx), i, group_out_cols_[g].get());
+        for (size_t g = 0; g < out_cols.size(); ++g) {
+          AppendVectorCell(*out_cols[g], i, group_out_cols_[g].get());
         }
         ++stored;
       };
@@ -249,8 +272,11 @@ void HashAggOperator::ConsumeBatch(Batch& batch) {
   }
 }
 
-HashAggOperator::Partial HashAggOperator::partial() const {
+HashAggOperator::Partial HashAggOperator::partial() {
   MA_CHECK(input_done_);
+  // Mergers look groups up by key (GroupTable::Find): complete the slots
+  // of a table that is still in run mode.
+  if (table_.in_run_mode()) table_.LeaveRunMode(0);
   Partial p;
   p.groups = &table_;
   p.group_out_cols = &group_out_cols_;

@@ -7,6 +7,14 @@
 // Group-by key columns must be i64 (dictionary codes, dates, ids) and
 // declare a bit width; widths must sum to <= 63 so packing is exact.
 // With no group keys the operator computes global aggregates (group 0).
+//
+// Open() arms the group table's run mode (see GroupTable) on the first
+// group key: while that key does not decrease from row to row — lineitem
+// arrives in l_orderkey order — the table holds only the current run's
+// groups instead of all of them, and key-sorted emission sorts only
+// inside each run. The first decrease turns it into a plain hash table
+// for the rest of the input. Gids, accumulator updates and emission
+// order are the same in both modes, so the bytes are too.
 #ifndef MA_EXEC_OP_HASH_AGG_H_
 #define MA_EXEC_OP_HASH_AGG_H_
 
@@ -69,6 +77,9 @@ class HashAggOperator : public Operator {
   bool Next(Batch* out) override;
 
   u32 num_groups() const { return table_.num_groups(); }
+  /// True while every input row so far arrived in first-group-key order,
+  /// so the group table is still in run mode.
+  bool in_run_mode() const { return table_.in_run_mode(); }
 
   /// Emit groups in ascending packed-key order instead of first-seen
   /// order. The plan compiler sets this on serially-compiled GroupBy
@@ -82,7 +93,8 @@ class HashAggOperator : public Operator {
   /// across worker threads ("thread-local pre-aggregation"). Sums,
   /// counts, mins and maxes merge exactly; avg merges from its sum and
   /// count parts (which is why the view exposes them separately rather
-  /// than the emitted ratio).
+  /// than the emitted ratio). partial() takes the group table out of
+  /// run mode, so the view's GroupTable::Find works.
   struct Partial {
     struct Agg {
       const std::string* fn = nullptr;        // "sum" | ... | "avg"
@@ -105,7 +117,7 @@ class HashAggOperator : public Operator {
     std::vector<Agg> aggs;
     const std::vector<std::unique_ptr<Column>>* group_out_cols = nullptr;
   };
-  Partial partial() const;
+  Partial partial();
 
  private:
   struct AggState {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <thread>
 
 #include "common/cycleclock.h"
@@ -309,6 +310,8 @@ RunResult ParallelExecutor::RunAgg(const Table* table,
   MorselQueue queue(table->row_count(), ResolveMorselSize(hints), workers,
                     parallel_config_.work_stealing);
   std::vector<std::unique_ptr<HashAggOperator>> aggs(num_threads());
+  std::vector<std::optional<HashAggOperator::Partial>> worker_parts(
+      num_threads());
 
   Status pool_status = pool_->Run([&](int w) {
     if (w >= workers || ctx->ShouldStop()) return;
@@ -329,7 +332,13 @@ RunResult ParallelExecutor::RunAgg(const Table* table,
     // thread-local pre-aggregation. It polls the context per batch and
     // charges "alloc/agg" growth itself.
     Status open = aggs[w]->Open();
-    if (!open.ok()) ctx->Fail(std::move(open));
+    if (!open.ok()) {
+      ctx->Fail(std::move(open));
+      return;
+    }
+    // Taken here rather than in the merge: a group table still in run
+    // mode rehashes its groups into its slots on this worker's thread.
+    worker_parts[w] = aggs[w]->partial();
   }, task_tag_);
   if (!pool_status.ok()) ctx->Fail(std::move(pool_status));
   const u64 t_exec = CycleClock::Now();
@@ -348,8 +357,8 @@ RunResult ParallelExecutor::RunAgg(const Table* table,
   // --- Merge the thread-local partials -------------------------------
   // Workers past the hinted count never built an operator; skip them.
   std::vector<HashAggOperator::Partial> parts;
-  for (const auto& agg : aggs) {
-    if (agg != nullptr) parts.push_back(agg->partial());
+  for (auto& part : worker_parts) {
+    if (part.has_value()) parts.push_back(std::move(*part));
   }
 
   // Union of group keys, emitted in packed-key order so the output is

@@ -29,12 +29,34 @@ size_t InsertCheck(const PrimCall& c) {
       b = (b + 1) & s.mask;
     }
   };
-  if (c.sel != nullptr) {
-    for (size_t j = 0; j < c.sel_n; ++j) one(c.sel[j]);
-    return c.sel_n;
+  const size_t m = c.sel != nullptr ? c.sel_n : c.n;
+  size_t j = 0;
+  if (table->in_run_mode()) {
+    // Run mode (see GroupTable): the slots hold only the current run.
+    // A greater leading part starts a new run; a smaller one leaves run
+    // mode, and the rest of the vector goes through the hash loop below.
+    const int shift = table->run_shift();
+    i64 lead = table->run_lead();
+    for (; j < m; ++j) {
+      const sel_t i = c.sel != nullptr ? c.sel[j] : static_cast<sel_t>(j);
+      const i64 key_lead = keys[i] >> shift;
+      if (key_lead != lead) {
+        if (key_lead < lead) break;
+        table->StartRun(key_lead);
+        lead = key_lead;
+      }
+      one(i);
+    }
+    if (j == m) return m;
+    table->LeaveRunMode(m - j);
+    s = table->slots();
   }
-  for (size_t i = 0; i < c.n; ++i) one(static_cast<sel_t>(i));
-  return c.n;
+  if (c.sel != nullptr) {
+    for (; j < m; ++j) one(c.sel[j]);
+  } else {
+    for (; j < m; ++j) one(static_cast<sel_t>(j));
+  }
+  return m;
 }
 
 size_t Probe(const PrimCall& c) {

@@ -47,7 +47,9 @@ size_t MapHash(const PrimCall& c) {
 }
 
 /// Find-or-insert group ids for a vector of keys. The GroupTable must
-/// have room for c.n insertions (operator calls EnsureRoom).
+/// have room for c.n insertions (operator calls EnsureRoom). Handles both
+/// of the table's modes, leaving run mode mid-vector at the first key
+/// whose leading part decreases.
 size_t InsertCheck(const PrimCall& c);
 
 /// Probe a JoinHashTable, emitting match pairs until the probe vector or

@@ -34,26 +34,59 @@ inline u64 HashKey(i64 key) {
 /// Open addressing with linear probing; grows by doubling when load
 /// exceeds 60%. Growth happens only between vectors (EnsureRoom), so the
 /// insert-check kernels never rehash mid-loop.
+///
+/// Run mode. Input clustered on its leading key (lineitem arrives in
+/// l_orderkey order) needs no whole-input table: once armed with the
+/// shift of the leading key's bits, and while the leading parts
+/// (`key >> shift`) of arriving keys do not decrease, the slots hold only
+/// the current *run* — the groups sharing the current leading value. A
+/// new leading value clears the previous run's slots (O(run)); a group
+/// can never reappear once its run has passed. The dense gid -> key array
+/// grows as in hash mode, so gids are first-seen either way and the
+/// runs' gids ascend by leading part. The first key whose leading part
+/// is smaller leaves run mode for good: every group is rehashed into the
+/// slots and the table continues as a plain hash table. Find() reads
+/// the slots, so it needs a table out of run mode (LeaveRunMode(0)).
 class GroupTable {
  public:
   explicit GroupTable(size_t initial_buckets = 2048);
 
+  /// Enters run mode on an empty table; `key >> lead_shift` is a key's
+  /// leading part.
+  void ArmRunMode(int lead_shift);
+  bool in_run_mode() const { return run_shift_ >= 0; }
+  int run_shift() const { return run_shift_; }
+  /// Leading part of the current run (-1 before the first key).
+  i64 run_lead() const { return run_lead_; }
+
+  /// Run mode: starts the run of leading part `lead` (greater than the
+  /// current one), clearing the previous run's slots.
+  void StartRun(i64 lead);
+
+  /// Leaves run mode for good: rehashes every group into the slots,
+  /// with room for `n` more insertions.
+  void LeaveRunMode(size_t n);
+
   /// Guarantees room for `n` more insertions without exceeding the load
-  /// factor; rehashes if needed. Call once per input vector.
+  /// factor; rehashes if needed. Call once per input vector. In run mode
+  /// the room is counted against the current run, not all groups.
   void EnsureRoom(size_t n);
 
   u32 num_groups() const { return static_cast<u32>(keys_by_gid_.size()); }
 
   /// Key that was assigned group id `gid`.
   i64 KeyOfGroup(u32 gid) const { return keys_by_gid_[gid]; }
+  /// Keys by group id (first-seen order).
+  const std::vector<i64>& keys_by_gid() const { return keys_by_gid_; }
 
-  /// Scalar find-or-insert (kernels inline their own loop over this
-  /// logic; this one is for operators and tests).
+  /// Scalar find-or-insert, honoring run mode (kernels inline their own
+  /// loop over this logic; this one is for operators and tests).
   u32 FindOrInsert(i64 key);
 
-  /// Scalar lookup; returns -1 if absent.
+  /// Scalar lookup; returns -1 if absent. Not in run mode.
   i64 Find(i64 key) const;
 
+  /// Empties the table and leaves run mode.
   void Clear();
 
   // Exposed to the insert-check kernels.
@@ -71,7 +104,6 @@ class GroupTable {
   /// empty slot. Returns the new gid.
   u32 AppendGroup(i64 key) {
     keys_by_gid_.push_back(key);
-    ++used_;
     return static_cast<u32>(keys_by_gid_.size() - 1);
   }
 
@@ -81,7 +113,11 @@ class GroupTable {
   std::vector<i64> slot_keys_;
   std::vector<u32> slot_gids_;  // kEmpty marks a free slot
   u64 mask_ = 0;
-  size_t used_ = 0;
+  /// The slots hold gids [slot_base_, num_groups): all groups in hash
+  /// mode, the current run in run mode.
+  u32 slot_base_ = 0;
+  int run_shift_ = -1;  // -1: hash mode
+  i64 run_lead_ = -1;
   std::vector<i64> keys_by_gid_;
 };
 

@@ -110,6 +110,152 @@ TEST(InsertCheckKernelTest, HonorsSelectionVector) {
   EXPECT_EQ(table.num_groups(), 1u);
 }
 
+// --- GroupTable run mode -------------------------------------------------
+
+/// Keys of `runs` ascending runs: run r has leading part 3r (`key >>
+/// shift`) and 1..max_groups distinct groups, each repeated, in random
+/// order inside the run.
+std::vector<i64> AscendingRuns(size_t runs, u64 max_groups, int shift,
+                               u64 seed) {
+  Rng rng(seed);
+  std::vector<i64> keys;
+  for (size_t r = 0; r < runs; ++r) {
+    const u64 groups = 1 + rng.NextBounded(max_groups);
+    for (u64 row = 0; row < 3 * groups; ++row) {
+      keys.push_back(static_cast<i64>(3 * r) << shift |
+                     static_cast<i64>(rng.NextBounded(groups)));
+    }
+  }
+  return keys;
+}
+
+/// Feeds `keys` to the insert-check kernel one 1024-key vector at a time,
+/// as HashAggOperator does (EnsureRoom, then one call). With `with_sel`
+/// every position p with p % 3 == 1 is filtered out, so positions 0, 512
+/// and 1023 stay live. Returns the gid of every live key, in order.
+std::vector<u32> InsertAll(GroupTable* t, const std::vector<i64>& keys,
+                           bool with_sel) {
+  constexpr size_t kVec = 1024;
+  std::vector<u32> gids;
+  std::vector<u32> out(kVec);
+  std::vector<sel_t> sel;
+  for (size_t base = 0; base < keys.size(); base += kVec) {
+    const size_t n = std::min(kVec, keys.size() - base);
+    PrimCall c;
+    c.n = n;
+    c.res = out.data();
+    c.in1 = keys.data() + base;
+    c.state = t;
+    sel.clear();
+    for (size_t i = 0; i < n; ++i) {
+      if (!with_sel || i % 3 != 1) sel.push_back(static_cast<sel_t>(i));
+    }
+    if (with_sel) {
+      c.sel = sel.data();
+      c.sel_n = sel.size();
+    }
+    t->EnsureRoom(sel.size());
+    EXPECT_EQ(hash_detail::InsertCheck(c), sel.size());
+    for (const sel_t i : sel) gids.push_back(out[i]);
+  }
+  return gids;
+}
+
+constexpr int kShift = 8;
+
+TEST(GroupTableRunModeTest, AscendingRunsMatchHashMode) {
+  for (const u64 max_groups : {u64{1}, u64{40}}) {
+    for (const bool with_sel : {false, true}) {
+      const std::vector<i64> keys =
+          AscendingRuns(3000, max_groups, kShift, max_groups);
+      GroupTable runs;
+      runs.ArmRunMode(kShift);
+      GroupTable hash;
+      EXPECT_EQ(InsertAll(&runs, keys, with_sel),
+                InsertAll(&hash, keys, with_sel))
+          << "max_groups " << max_groups << " sel " << with_sel;
+      EXPECT_TRUE(runs.in_run_mode());
+      EXPECT_EQ(runs.keys_by_gid(), hash.keys_by_gid());
+    }
+  }
+}
+
+TEST(GroupTableRunModeTest, RunLargerThanInitialBucketsRehashesInsideRun) {
+  // One 5000-group run (the default 2048 buckets hold 1228 at 60% load),
+  // spread over several vectors, then a small run after it.
+  constexpr int kWide = 16;
+  std::vector<i64> keys;
+  Rng rng(11);
+  std::vector<i64> subs(5000);
+  for (size_t g = 0; g < subs.size(); ++g) subs[g] = static_cast<i64>(g);
+  for (int rep = 0; rep < 2; ++rep) {
+    for (size_t g = subs.size(); g > 1; --g) {
+      std::swap(subs[g - 1], subs[rng.NextBounded(g)]);
+    }
+    for (const i64 sub : subs) keys.push_back(i64{1} << kWide | sub);
+  }
+  for (i64 sub = 0; sub < 10; ++sub) keys.push_back(i64{2} << kWide | sub);
+  GroupTable runs;
+  runs.ArmRunMode(kWide);
+  GroupTable hash;
+  EXPECT_EQ(InsertAll(&runs, keys, false), InsertAll(&hash, keys, false));
+  EXPECT_TRUE(runs.in_run_mode());
+  EXPECT_EQ(runs.num_groups(), 5010u);
+  EXPECT_EQ(runs.keys_by_gid(), hash.keys_by_gid());
+}
+
+TEST(GroupTableRunModeTest, OutOfOrderKeyLeavesRunModeMidVector) {
+  // The late key (leading part 0, behind every later run) lands at the
+  // first, a middle and the last position of the third vector.
+  for (const size_t pos : {size_t{0}, size_t{512}, size_t{1023}}) {
+    for (const bool with_sel : {false, true}) {
+      std::vector<i64> keys = AscendingRuns(2000, 20, kShift, 3);
+      ASSERT_GT(keys.size(), 4 * 1024u);
+      keys[2 * 1024 + pos] = 250;  // a new group of the first run
+      GroupTable runs;
+      runs.ArmRunMode(kShift);
+      GroupTable hash;
+      EXPECT_EQ(InsertAll(&runs, keys, with_sel),
+                InsertAll(&hash, keys, with_sel))
+          << "pos " << pos << " sel " << with_sel;
+      EXPECT_FALSE(runs.in_run_mode());
+      ASSERT_EQ(runs.keys_by_gid(), hash.keys_by_gid());
+      for (u32 g = 0; g < runs.num_groups(); ++g) {
+        ASSERT_EQ(runs.Find(runs.KeyOfGroup(g)), g) << "pos " << pos;
+      }
+    }
+  }
+}
+
+TEST(GroupTableRunModeTest, FindAfterRunModeDrain) {
+  const std::vector<i64> keys = AscendingRuns(500, 30, kShift, 5);
+  GroupTable runs;
+  runs.ArmRunMode(kShift);
+  InsertAll(&runs, keys, false);
+  ASSERT_TRUE(runs.in_run_mode());
+  runs.LeaveRunMode(0);
+  EXPECT_FALSE(runs.in_run_mode());
+  for (u32 g = 0; g < runs.num_groups(); ++g) {
+    ASSERT_EQ(runs.Find(runs.KeyOfGroup(g)), g);
+  }
+  EXPECT_EQ(runs.Find(255), -1);  // run 0 has fewer than 255 groups
+  EXPECT_EQ(runs.Find(i64{1} << kShift), -1);  // leading parts are 3r
+}
+
+TEST(GroupTableRunModeTest, ScalarFindOrInsertHonorsRunMode) {
+  std::vector<i64> keys = AscendingRuns(300, 10, kShift, 9);
+  keys.push_back(3);  // late: leaves run mode
+  keys.push_back(keys[keys.size() / 2]);
+  GroupTable runs;
+  runs.ArmRunMode(kShift);
+  GroupTable hash;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(runs.FindOrInsert(keys[i]), hash.FindOrInsert(keys[i]))
+        << "at " << i;
+    ASSERT_EQ(runs.in_run_mode(), i + 2 < keys.size()) << "at " << i;
+  }
+}
+
 TEST(JoinHashTableTest, UniqueKeyLookup) {
   JoinHashTable t;
   std::vector<i64> keys{10, 20, 30};

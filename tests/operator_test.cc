@@ -14,6 +14,7 @@
 #include "exec/op_scan.h"
 #include "exec/op_select.h"
 #include "exec/op_sort.h"
+#include "table_fingerprint.h"
 
 namespace ma {
 namespace {
@@ -166,6 +167,97 @@ TEST_P(AllModesTest, HashAggGlobal) {
   EXPECT_EQ(r.table->FindColumn("n")->Data<i64>()[0],
             static_cast<i64>(table->row_count()));
   EXPECT_EQ(r.table->FindColumn("mx")->Data<i64>()[0], mx);
+}
+
+/// A lineitem-like row: `ord` plays l_orderkey, `part` varies inside
+/// an order.
+struct ClusteredRow {
+  i64 ord;
+  i64 part;
+  i64 qty;
+  f64 price;
+};
+
+/// Rows in the given order; `name` depends on `ord` only.
+std::unique_ptr<Table> MakeClusteredTable(
+    const std::vector<ClusteredRow>& rows) {
+  auto t = std::make_unique<Table>("clustered");
+  Column* ord = t->AddColumn("ord", PhysicalType::kI64);
+  Column* part = t->AddColumn("part", PhysicalType::kI64);
+  Column* qty = t->AddColumn("qty", PhysicalType::kI64);
+  Column* price = t->AddColumn("price", PhysicalType::kF64);
+  Column* name = t->AddColumn("name", PhysicalType::kStr);
+  for (const ClusteredRow& r : rows) {
+    ord->Append<i64>(r.ord);
+    part->Append<i64>(r.part);
+    qty->Append<i64>(r.qty);
+    price->Append<f64>(r.price);
+    name->AppendString("o" + std::to_string(r.ord));
+  }
+  t->set_row_count(rows.size());
+  return t;
+}
+
+/// Key-sorted aggregation of `table` grouped by (ord, part), with integer
+/// aggregates and exact f64 sums only: order-independent, so any input
+/// order of the same rows must give the same bytes.
+RunResult AggregateByOrdPart(ExecMode mode, const Table& table,
+                             bool* ran_in_run_mode) {
+  Engine engine(ConfigFor(mode));
+  auto scan = std::make_unique<ScanOperator>(
+      &engine, &table,
+      std::vector<std::string>{"ord", "part", "qty", "price", "name"});
+  std::vector<HashAggOperator::AggSpec> aggs;
+  aggs.push_back({"count", nullptr, "cnt"});
+  aggs.push_back({"sum", Col("qty"), "sum_qty", PhysicalType::kI64});
+  aggs.push_back({"min", Col("qty"), "min_qty", PhysicalType::kI64});
+  aggs.push_back({"max", Col("qty"), "max_qty", PhysicalType::kI64});
+  aggs.push_back({"sum", Col("price"), "sum_price", PhysicalType::kF64,
+                  /*exact_f64_sum=*/true});
+  aggs.push_back({"avg", Col("price"), "avg_price", PhysicalType::kF64,
+                  /*exact_f64_sum=*/true});
+  HashAggOperator agg(&engine, std::move(scan), {{"ord", 20}, {"part", 12}},
+                      {"ord", "part", "name"}, std::move(aggs));
+  agg.set_emit_key_sorted(true);
+  RunResult r = engine.Run(agg);
+  *ran_in_run_mode = agg.in_run_mode();
+  return r;
+}
+
+TEST_P(AllModesTest, HashAggRunModeMatchesHashOnlyByteForByte) {
+  // Orders ascend with 1..7 lines each; parts repeat inside an order.
+  Rng rng(21);
+  std::vector<ClusteredRow> rows;
+  for (i64 o = 1; rows.size() < 6000; o += 1 + rng.NextBounded(3)) {
+    const u64 lines = 1 + rng.NextBounded(7);
+    for (u64 l = 0; l < lines; ++l) {
+      rows.push_back({o, static_cast<i64>(rng.NextBounded(4)),
+                      rng.NextRange(-10, 40),
+                      static_cast<f64>(rng.NextRange(1, 100000)) / 3.0});
+    }
+  }
+  // Hash-only reference: the same rows in descending order leave run
+  // mode at the second row.
+  bool runs = true;
+  const RunResult ref = AggregateByOrdPart(
+      GetParam(), *MakeClusteredTable({rows.rbegin(), rows.rend()}), &runs);
+  ASSERT_FALSE(runs);
+  ASSERT_GT(ref.table->row_count(), 3000u);
+
+  const RunResult ascending =
+      AggregateByOrdPart(GetParam(), *MakeClusteredTable(rows), &runs);
+  EXPECT_TRUE(runs);
+  EXPECT_EQ(ExactFingerprint(*ascending.table), ExactFingerprint(*ref.table));
+
+  // One row of an early order moved to the end: run mode until the
+  // last vector, hash for the rest.
+  std::vector<ClusteredRow> late = rows;
+  late.push_back(late[10]);
+  late.erase(late.begin() + 10);
+  const RunResult late_run =
+      AggregateByOrdPart(GetParam(), *MakeClusteredTable(late), &runs);
+  EXPECT_FALSE(runs);
+  EXPECT_EQ(ExactFingerprint(*late_run.table), ExactFingerprint(*ref.table));
 }
 
 std::unique_ptr<Table> MakeDimTable(size_t rows) {

@@ -26,6 +26,7 @@
 #include "exec/parallel/thread_pool.h"
 #include "common/rng.h"
 #include "table_fingerprint.h"
+#include "tpch/dbgen.h"
 
 namespace ma {
 namespace {
@@ -460,6 +461,57 @@ TEST(ParallelAggTest, WorkerThatDrainsNothingCannotPoisonMergedType) {
   const Column* total = r.table->FindColumn("total");
   ASSERT_EQ(total->type(), PhysicalType::kI64);
   EXPECT_EQ(total->Get<i64>(0), expect);
+}
+
+TEST(ParallelAggTest, ClusteredKeysWithStealingMatchSerialByteForByte) {
+  // lineitem arrives in l_orderkey order, so every worker's group table
+  // starts in run mode. With tiny morsels, stealing hands workers
+  // morsels out of order (a thief takes from the back of a victim's
+  // partition), and such a table falls back to hash mode mid-input;
+  // partial() completes the slots of one that did not. Either way the
+  // merge must reproduce the serial result byte for byte.
+  tpch::TpchConfig cfg;
+  cfg.scale_factor = 0.01;
+  const auto data = tpch::Generate(cfg);
+  const std::vector<std::string> columns{"l_orderkey", "l_suppkey",
+                                         "l_extendedprice"};
+  auto make_aggs = [] {
+    std::vector<HashAggOperator::AggSpec> aggs;
+    aggs.push_back({"count", nullptr, "cnt"});
+    aggs.push_back({"sum", Col("l_extendedprice"), "revenue",
+                    PhysicalType::kF64, /*exact_f64_sum=*/true});
+    aggs.push_back({"min", Col("l_suppkey"), "min_supp",
+                    PhysicalType::kI64});
+    return aggs;
+  };
+  const std::vector<HashAggOperator::GroupKey> keys{{"l_orderkey", 36}};
+
+  Engine engine{EngineConfig()};
+  HashAggOperator serial(
+      &engine,
+      std::make_unique<ScanOperator>(&engine, data->lineitem, columns),
+      keys, {"l_orderkey"}, make_aggs());
+  serial.set_emit_key_sorted(true);
+  const RunResult ref = engine.Run(serial);
+  ASSERT_TRUE(ref.status.ok());
+  ASSERT_GT(ref.table->row_count(), 10000u);
+
+  ParallelConfig pcfg;
+  pcfg.num_threads = 4;
+  pcfg.morsel_size = 512;
+  ParallelExecutor exec{EngineConfig(), pcfg};
+  ParallelExecutor::AggPlan plan;
+  plan.group_keys = keys;
+  plan.group_outputs = {"l_orderkey"};
+  plan.aggs = make_aggs();
+  for (int round = 0; round < 3; ++round) {
+    const RunResult got = exec.RunAgg(
+        data->lineitem, columns,
+        [](Engine*, OperatorPtr scan) { return scan; }, plan);
+    ASSERT_TRUE(got.status.ok());
+    EXPECT_EQ(ExactFingerprint(*got.table), ExactFingerprint(*ref.table))
+        << "round " << round;
+  }
 }
 
 // ---------------------------------------------------------------------

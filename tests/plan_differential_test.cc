@@ -1,9 +1,9 @@
 // Randomized differential testing of the two executors: a seeded
 // generator builds a few hundred small logical plans — filter / project
-// / hash-join / group-by / sort / limit pipelines over the dbgen tables,
-// including HAVING-style filters and projections above an aggregation
-// and top-N sorts large enough for the parallel TopN path, a quarter of
-// them DAG-shaped (duplicated subtrees for the compiler's automatic CSE,
+// / hash-join / one- and two-key group-by / sort / limit pipelines over
+// the dbgen tables, including HAVING-style filters and projections above
+// an aggregation and top-N sorts large enough for the parallel TopN
+// path, a quarter of them DAG-shaped (duplicated subtrees for the compiler's automatic CSE,
 // or explicit BindShared/SharedRef fan-out) — and every plan must
 // produce byte-identical results serially and through the staged
 // parallel executor at 1, 2 and 4 worker threads.
@@ -250,9 +250,30 @@ plan::LogicalPlan GrowRandomPlan(const TpchData& d, PlanBuilder b,
 
   bool grouped = false;
   if (!topn && rng->Chance(60)) {
-    const bool by_supp = rng->Chance(50);
-    HashAggOperator::GroupKey key{by_supp ? "l_suppkey" : "l_orderkey",
-                                  by_supp ? 24 : 36};
+    // One key, or two: (l_orderkey, l_suppkey) keeps lineitem's order on
+    // the leading key, so the group table runs with several groups per
+    // run; (l_suppkey, l_orderkey) leads with an unordered key and falls
+    // back to hashing. One draw either way, so later draws keep their
+    // place in the sequence.
+    const HashAggOperator::GroupKey okey{"l_orderkey", 36};
+    const HashAggOperator::GroupKey skey{"l_suppkey", 24};
+    std::vector<HashAggOperator::GroupKey> keys;
+    switch (rng->Below(4)) {
+      case 0:
+        keys = {okey};
+        break;
+      case 1:
+        keys = {skey};
+        break;
+      case 2:
+        keys = {okey, skey};
+        break;
+      default:
+        keys = {skey, okey};
+        break;
+    }
+    std::vector<std::string> key_names;
+    for (const auto& k : keys) key_names.push_back(k.column);
     std::vector<HashAggOperator::AggSpec> aggs;
     HashAggOperator::AggSpec sum;
     sum.fn = "sum";
@@ -263,7 +284,7 @@ plan::LogicalPlan GrowRandomPlan(const TpchData& d, PlanBuilder b,
     cnt.fn = "count";
     cnt.out_name = "cnt";
     aggs.push_back(std::move(cnt));
-    b.GroupBy({key}, {key.column}, std::move(aggs), "diff/agg");
+    b.GroupBy(keys, key_names, std::move(aggs), "diff/agg");
     grouped = true;
     if (rng->Chance(30)) {
       b.Filter(Ge(Col("cnt"), Lit(static_cast<i64>(1 + rng->Below(3)))),
@@ -272,7 +293,9 @@ plan::LogicalPlan GrowRandomPlan(const TpchData& d, PlanBuilder b,
     if (rng->Chance(30)) {
       // Same names, new values: the sort keys below stay valid.
       std::vector<ProjectOperator::Output> outs;
-      outs.push_back({key.column, Col(key.column)});
+      for (const std::string& name : key_names) {
+        outs.push_back({name, Col(name)});
+      }
       outs.push_back({"sum_v", Mul(Col("sum_v"), Lit(0.5))});
       outs.push_back({"cnt", Add(Col("cnt"), Lit(static_cast<i64>(1)))});
       b.Project(std::move(outs), "diff/agg_project");
