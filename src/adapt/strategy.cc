@@ -6,6 +6,22 @@
 #include "common/status.h"
 
 namespace ma {
+namespace {
+
+/// After the initial sweep, every Nth decision picks the least-chosen
+/// arm instead of the cheapest — periodic re-exploration.
+constexpr u64 kExploreEvery = 16;
+
+/// Appends arm `label<value>` unless `value` is 0 or already present.
+void AddArm(std::vector<StrategyArm>* arms, const char* label, u64 value) {
+  if (value == 0) return;
+  for (const StrategyArm& a : *arms) {
+    if (a.value == value) return;
+  }
+  arms->push_back({label + std::to_string(value), value});
+}
+
+}  // namespace
 
 const char* StrategyKindName(StrategyKind kind) {
   switch (kind) {
@@ -20,11 +36,9 @@ const char* StrategyKindName(StrategyKind kind) {
 }
 
 StrategyInstance::StrategyInstance(StrategyKind kind,
-                                   std::vector<StrategyArm> arms,
-                                   StrategyParams params)
-    : kind_(kind), arms_(std::move(arms)), params_(params) {
+                                   std::vector<StrategyArm> arms)
+    : kind_(kind), arms_(std::move(arms)) {
   MA_CHECK(!arms_.empty());
-  if (params_.explore_every == 0) params_.explore_every = 16;
   base_.resize(arms_.size());
   live_.resize(arms_.size());
 }
@@ -49,8 +63,7 @@ int StrategyInstance::Decide() {
       break;
     }
   }
-  if (pick < 0 &&
-      decide_count_ % params_.explore_every == params_.explore_every - 1) {
+  if (pick < 0 && decide_count_ % kExploreEvery == kExploreEvery - 1) {
     // Periodic re-exploration: the least-chosen arm gets a fresh look.
     size_t best = 0;
     for (size_t i = 1; i < arms_.size(); ++i) {
@@ -104,8 +117,6 @@ StrategyProfile StrategyInstance::ExportDelta(const std::string& site) const {
   return p;
 }
 
-StrategyBook::StrategyBook(StrategyParams params) : params_(params) {}
-
 StrategyBook::Decision StrategyBook::Decide(
     const std::string& site, StrategyKind kind,
     const std::vector<StrategyArm>& arms) {
@@ -116,8 +127,7 @@ StrategyBook::Decision StrategyBook::Decide(
   if (it == instances_.end()) {
     Entry e;
     e.site = site;
-    e.instance =
-        std::make_unique<StrategyInstance>(kind, arms, params_);
+    e.instance = std::make_unique<StrategyInstance>(kind, arms);
     auto seed = pending_seeds_.find(d.key);
     if (seed != pending_seeds_.end()) {
       e.instance->Seed(seed->second);
@@ -180,6 +190,70 @@ u64 StrategyBook::switches() const {
 size_t StrategyBook::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return instances_.size();
+}
+
+StageStrategies::StageStrategies(StrategyBook* book, std::string site_prefix,
+                                 size_t num_stages, int pool_threads,
+                                 u64 morsel_size)
+    : book_(book),
+      site_prefix_(std::move(site_prefix)),
+      own_(num_stages),
+      consumers_(num_stages) {
+  AddArm(&thread_arms_, "t", static_cast<u64>(std::max(pool_threads, 0)));
+  AddArm(&thread_arms_, "t", 2);
+  AddArm(&thread_arms_, "t", 1);
+  AddArm(&morsel_arms_, "m", morsel_size);
+  AddArm(&morsel_arms_, "m", morsel_size / 4);
+  AddArm(&morsel_arms_, "m", morsel_size * 4);
+}
+
+StageHints StageStrategies::Decide(int stage, bool bloom_site) {
+  StageHints hints;
+  if (book_ == nullptr) return hints;
+  const std::string site = site_prefix_ + "/s" + std::to_string(stage);
+  decided_.push_back(
+      {book_->Decide(site, StrategyKind::kThreadCount, thread_arms_), stage,
+       false});
+  hints.workers = static_cast<int>(decided_.back().decision.value);
+  if (morsel_arms_.size() > 1) {  // a morsel size of 0 leaves no arm
+    decided_.push_back(
+        {book_->Decide(site, StrategyKind::kMorselSize, morsel_arms_), stage,
+         false});
+    hints.morsel_size = decided_.back().decision.value;
+  }
+  if (bloom_site) {
+    decided_.push_back({book_->Decide(site, StrategyKind::kBloom,
+                                      {{"on", 1}, {"off", 0}}),
+                        stage, true});
+    hints.bloom = static_cast<int>(decided_.back().decision.value);
+  }
+  return hints;
+}
+
+void StageStrategies::Measured(int stage, u64 rows, u64 cycles,
+                               const std::vector<int>& deps) {
+  if (book_ == nullptr) return;
+  own_[static_cast<size_t>(stage)] = {rows, cycles};
+  for (const int d : deps) {
+    Work& w = consumers_[static_cast<size_t>(d)];
+    w.rows += rows;
+    w.cycles += cycles;
+  }
+}
+
+void StageStrategies::Reward() {
+  if (book_ == nullptr) return;
+  for (const Decided& d : decided_) {
+    const size_t s = static_cast<size_t>(d.stage);
+    u64 tuples = own_[s].rows;
+    u64 cycles = own_[s].cycles;
+    if (d.bloom) {
+      tuples += consumers_[s].rows;
+      cycles += consumers_[s].cycles;
+    }
+    book_->Reward(d.decision, tuples, cycles);
+  }
+  decided_.clear();  // each decision is credited once
 }
 
 std::string StrategyKey(const std::string& site, StrategyKind kind) {

@@ -1,22 +1,25 @@
 // Macro-adaptivity: per-stage execution strategies treated as flavors
 // (the paper's method lifted from primitive call sites to plan stages).
 // A StrategyInstance is a deterministic explore-then-exploit bandit over
-// a small set of arms — per-stage thread count {serial, 2, N}, bloom
-// filter on/off per join-build site, morsel size {small, default,
-// large} — rewarded by measured stage throughput (input tuples per
-// wall-clock stage cycle). A StrategyBook holds one instance per
-// (plan fingerprint, stage id, decision kind) site and is shared across
-// the sessions of one WorkloadServer, so what one query learned about a
-// stage steers the next execution of the same plan.
+// a small set of arms — per-stage thread count {N, 2, 1} (N = pool
+// width), bloom filter on/off per join-build site, morsel size
+// {M, M/4, 4M} (M = ParallelConfig::morsel_size) — rewarded by measured
+// stage throughput (input tuples per wall-clock stage cycle). A
+// StrategyBook holds one instance per (plan fingerprint, stage id,
+// decision kind) site and is shared across the sessions of one
+// WorkloadServer, so what one query learned about a stage steers the
+// next execution of the same plan. StageStrategies is the per-run view
+// the stage scheduler talks to: it decides every stage's hints and,
+// after a successful run, rewards every decision it made.
 //
 // Decision cadence is ~one per stage per query — thousands of times
 // rarer than primitive calls — so this is NOT vw-greedy (whose
 // exploration/exploitation periods assume thousands of calls). The rule
 // is deterministic: sweep arms never chosen, then exploit the lowest
-// measured cycles/tuple, re-exploring the least-chosen arm every
-// `explore_every`-th decision so a stale estimate is corrected, not
-// trusted forever. Determinism matters for testability: the same seeded
-// stats and the same reward feed reproduce the same arm sequence.
+// measured cycles/tuple, re-exploring the least-chosen arm every 16th
+// decision so a stale estimate is corrected, not trusted forever.
+// Determinism matters for testability: the same seeded stats and the
+// same reward feed reproduce the same arm sequence.
 //
 // Contract (docs/ADAPTIVITY.md "Macro-adaptivity"): strategies steer
 // time, never bytes. Every arm of every decision kind is byte-neutral
@@ -71,21 +74,14 @@ struct StrategyProfile {
   std::vector<Arm> arms;
 };
 
-struct StrategyParams {
-  /// After the initial sweep, every Nth decision picks the least-chosen
-  /// arm instead of the cheapest — periodic re-exploration.
-  u64 explore_every = 16;
-};
-
 /// Deterministic stage-scale bandit over a fixed arm set. Not
 /// thread-safe by itself; StrategyBook serializes access.
 class StrategyInstance {
  public:
-  StrategyInstance(StrategyKind kind, std::vector<StrategyArm> arms,
-                   StrategyParams params = StrategyParams());
+  StrategyInstance(StrategyKind kind, std::vector<StrategyArm> arms);
 
   /// Picks the arm for the next execution: unswept arm (lowest index)
-  /// first, then every explore_every-th decision the least-chosen arm,
+  /// first, then every 16th decision the least-chosen arm,
   /// otherwise the arm with the lowest measured cycles/tuple (ties and
   /// never-rewarded arms resolve to the lowest index). Increments the
   /// chosen arm's decision count.
@@ -123,7 +119,6 @@ class StrategyInstance {
 
   StrategyKind kind_;
   std::vector<StrategyArm> arms_;
-  StrategyParams params_;
   std::vector<ArmStats> base_;  // seeded from the store
   std::vector<ArmStats> live_;  // accumulated this process
   u64 decide_count_ = 0;
@@ -137,8 +132,6 @@ class StrategyInstance {
 /// the book, so Decision tokens stay valid across queries.
 class StrategyBook {
  public:
-  explicit StrategyBook(StrategyParams params = StrategyParams());
-
   /// Token tying a decision to its instance so the reward lands on the
   /// arm that actually ran.
   struct Decision {
@@ -174,7 +167,6 @@ class StrategyBook {
     std::unique_ptr<StrategyInstance> instance;
   };
 
-  StrategyParams params_;
   mutable std::mutex mu_;
   std::map<std::string, Entry> instances_;
   std::map<std::string, StrategyProfile> pending_seeds_;
@@ -190,6 +182,75 @@ std::string StrategyKey(const std::string& site, StrategyKind kind);
 /// "/s<id>".
 std::string StrategySitePrefix(u64 stable_hash);
 
+/// Per-stage execution-strategy overrides, resolved once before a stage
+/// runs. Defaults mean "use the static configuration". Every field is
+/// byte-neutral: worker count and morsel size only redistribute morsels
+/// (outputs merge in morsel-index order), and the bloom filter only
+/// skips probe rows that would miss anyway.
+struct StageHints {
+  /// Workers to actually run (clamped to the pool size); 0 = all.
+  int workers = 0;
+  /// Rows per morsel; 0 = ParallelConfig::morsel_size.
+  u64 morsel_size = 0;
+  /// Bloom filter on the join build: -1 = follow the spec, 0 = force
+  /// off, 1 = force on (left-outer joins never bloom regardless).
+  int bloom = -1;
+};
+
+/// The strategy side of one staged run: decides every stage's hints
+/// from the book, collects each stage's measured input rows and wall
+/// cycles, and credits the decided arms in one pass. With a null book
+/// (macro-adaptivity off) every stage gets default hints and nothing is
+/// recorded.
+///
+/// Arm sets, in order (the static default first, so a cold site
+/// behaves statically; duplicates removed):
+///   threads: {t<pool>, t2, t1}
+///   morsel:  {m<M>, m<M/4>, m<M*4>}   M = the configured morsel size
+///   bloom:   {on, off}                only where `bloom_site`
+/// A thread-count or morsel decision is credited with its own stage's
+/// rows and cycles. A bloom decision is credited with its build stage
+/// plus every stage that depends on it: the filter costs cycles at
+/// build time to save them at probe time, so only the combined timing
+/// ranks on/off fairly.
+class StageStrategies {
+ public:
+  StageStrategies(StrategyBook* book, std::string site_prefix,
+                  size_t num_stages, int pool_threads, u64 morsel_size);
+
+  /// Hints for stage `stage`; `bloom_site` marks a join build the
+  /// static path would bloom (not left-outer).
+  StageHints Decide(int stage, bool bloom_site);
+
+  /// Records a finished stage: `rows` input tuples in `cycles` wall
+  /// cycles; `deps` are the stages it consumed.
+  void Measured(int stage, u64 rows, u64 cycles, const std::vector<int>& deps);
+
+  /// Credits every decision of the run, once (a second call credits
+  /// nothing). Call only after the whole query succeeded — a failed
+  /// run's timings are partial and never teach.
+  void Reward();
+
+ private:
+  struct Decided {
+    StrategyBook::Decision decision;
+    int stage = -1;
+    bool bloom = false;
+  };
+  struct Work {
+    u64 rows = 0;
+    u64 cycles = 0;
+  };
+
+  StrategyBook* book_;
+  std::string site_prefix_;
+  std::vector<StrategyArm> thread_arms_;
+  std::vector<StrategyArm> morsel_arms_;
+  std::vector<Decided> decided_;
+  std::vector<Work> own_;        // per stage: its own rows and cycles
+  std::vector<Work> consumers_;  // per stage: summed over its dependents
+};
+
 /// Macro-adaptivity wiring for a QuerySession (plan/query_session.h).
 struct MacroAdaptConfig {
   /// Off by default: the static heuristics (kAuto row gate, bloom
@@ -199,11 +260,6 @@ struct MacroAdaptConfig {
   /// Shared across sessions (one book per server); a session creates a
   /// private book when enabled with none supplied.
   std::shared_ptr<StrategyBook> book;
-  StrategyParams params;
-  /// The {small, default, large} morsel arms; default comes from
-  /// ParallelConfig::morsel_size.
-  u64 small_morsel_rows = 16 * 1024;
-  u64 large_morsel_rows = 256 * 1024;
 };
 
 }  // namespace ma

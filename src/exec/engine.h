@@ -25,9 +25,6 @@ struct EngineConfig {
   size_t vector_size = kDefaultVectorSize;
   AdaptiveConfig adaptive;
   HeuristicThresholds heuristics;
-  /// Use bloom filters in hash joins when the probe side is expected to
-  /// miss often (the engine decides per join via this switch).
-  bool join_bloom_filters = true;
   /// Warm-start priors from the cross-query knowledge store; null = cold
   /// start. Consulted only in kAdaptive mode, at instance creation, by
   /// (label, signature). Shared and immutable: many engines (one per

@@ -118,7 +118,7 @@ Status HashJoinOperator::Open() {
       for (auto& col : build_cols_) AppendDefault(col.get());
     }
 
-    if (spec_.use_bloom && engine_->config().join_bloom_filters) {
+    if (spec_.use_bloom) {
       bloom_ = std::make_unique<BloomFilter>(
           BloomFilter::ForKeys(ht_.num_rows() + 1));
       const JoinHashTable::View v = ht_.view();
@@ -128,8 +128,7 @@ Status HashJoinOperator::Open() {
     }
   }
 
-  if (bloom_filter() != nullptr && spec_.use_bloom &&
-      engine_->config().join_bloom_filters) {
+  if (bloom_filter() != nullptr && spec_.use_bloom) {
     bloom_tmp_.resize(kMaxVectorSize);
     bloom_state_.filter = bloom_filter();
     bloom_state_.tmp = bloom_tmp_.data();

@@ -71,6 +71,17 @@ u64 ParallelExecutor::TotalPrimitiveCycles() const {
   return total;
 }
 
+void ParallelExecutor::FinishTimings(u64 t0, u64 t_exec,
+                                     RunResult* result) const {
+  const u64 t_end = CycleClock::Now();
+  result->stages.execute = t_exec - t0;
+  result->stages.primitives = TotalPrimitiveCycles();
+  result->stages.postprocess = t_end - t_exec;
+  result->total_cycles = t_end - t0;
+  result->seconds =
+      static_cast<f64>(result->total_cycles) / CycleClock::FrequencyHz();
+}
+
 int ParallelExecutor::ResolveWorkers(const StageHints& hints) const {
   if (hints.workers <= 0) return num_threads();
   return std::min(hints.workers, num_threads());
@@ -172,13 +183,7 @@ RunResult ParallelExecutor::RunPipelineImpl(
     result.rows_emitted = sink->row_count();
   }
 
-  const u64 t_end = CycleClock::Now();
-  result.stages.execute = t_exec - t0;
-  result.stages.primitives = TotalPrimitiveCycles();
-  result.stages.postprocess = t_end - t_exec;
-  result.total_cycles = t_end - t0;
-  result.seconds =
-      static_cast<f64>(result.total_cycles) / CycleClock::FrequencyHz();
+  FinishTimings(t0, t_exec, &result);
   return result;
 }
 
@@ -284,8 +289,7 @@ std::unique_ptr<SharedJoinBuild> ParallelExecutor::BuildJoin(
   // only discards probe rows that would miss anyway, so both arms
   // produce identical join output.
   const bool bloom_on = hints.bloom >= 0 ? hints.bloom != 0 : spec.use_bloom;
-  if (bloom_on && spec.kind != HashJoinSpec::Kind::kLeftOuter &&
-      engine_config_.join_bloom_filters) {
+  if (bloom_on && spec.kind != HashJoinSpec::Kind::kLeftOuter) {
     shared->bloom = std::make_unique<BloomFilter>(
         BloomFilter::ForKeys(shared->ht.num_rows() + 1));
     const JoinHashTable::View v = shared->ht.view();
@@ -346,11 +350,7 @@ RunResult ParallelExecutor::RunAgg(const Table* table,
     RunResult result;
     result.status = ctx->status();
     result.reason = ReasonFromStatus(result.status);
-    result.stages.execute = t_exec - t0;
-    result.stages.primitives = TotalPrimitiveCycles();
-    result.total_cycles = CycleClock::Now() - t0;
-    result.seconds =
-        static_cast<f64>(result.total_cycles) / CycleClock::FrequencyHz();
+    FinishTimings(t0, t_exec, &result);
     return result;
   }
 
@@ -535,13 +535,7 @@ RunResult ParallelExecutor::RunAgg(const Table* table,
   result.table->set_row_count(keys.size());
   result.rows_emitted = keys.size();
 
-  const u64 t_end = CycleClock::Now();
-  result.stages.execute = t_exec - t0;
-  result.stages.primitives = TotalPrimitiveCycles();
-  result.stages.postprocess = t_end - t_exec;
-  result.total_cycles = t_end - t0;
-  result.seconds =
-      static_cast<f64>(result.total_cycles) / CycleClock::FrequencyHz();
+  FinishTimings(t0, t_exec, &result);
   return result;
 }
 
@@ -601,10 +595,7 @@ RunResult ParallelExecutor::RunTopN(const Table* table,
   if (!ctx->status().ok()) {
     result.status = ctx->status();
     result.reason = ReasonFromStatus(result.status);
-    result.stages.execute = t_exec - t0;
-    result.total_cycles = CycleClock::Now() - t0;
-    result.seconds =
-        static_cast<f64>(result.total_cycles) / CycleClock::FrequencyHz();
+    FinishTimings(t0, t_exec, &result);
     return result;
   }
 
@@ -634,10 +625,7 @@ RunResult ParallelExecutor::RunTopN(const Table* table,
       result.table = nullptr;
       result.status = ctx->status();
       result.reason = ReasonFromStatus(result.status);
-      result.stages.execute = t_exec - t0;
-      result.total_cycles = CycleClock::Now() - t0;
-      result.seconds =
-          static_cast<f64>(result.total_cycles) / CycleClock::FrequencyHz();
+      FinishTimings(t0, t_exec, &result);
       return result;
     }
   }
@@ -650,12 +638,7 @@ RunResult ParallelExecutor::RunTopN(const Table* table,
   result.table->set_row_count(sel.size());
   result.rows_emitted = sel.size();
 
-  const u64 t_end = CycleClock::Now();
-  result.stages.execute = t_exec - t0;
-  result.stages.postprocess = t_end - t_exec;
-  result.total_cycles = t_end - t0;
-  result.seconds =
-      static_cast<f64>(result.total_cycles) / CycleClock::FrequencyHz();
+  FinishTimings(t0, t_exec, &result);
   return result;
 }
 

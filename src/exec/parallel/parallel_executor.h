@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "adapt/profile_merge.h"
+#include "adapt/strategy.h"
 #include "exec/engine.h"
 #include "exec/op_hash_agg.h"
 #include "exec/op_hash_join.h"
@@ -56,23 +57,6 @@ struct ParallelConfig {
   /// for experiments that need a known thread-to-data assignment (e.g.
   /// the per-thread bandit divergence test).
   bool work_stealing = true;
-};
-
-/// Per-stage execution-strategy overrides, resolved once before a stage
-/// runs (macro-adaptivity; adapt/strategy.h). Defaults mean "use the
-/// static configuration". Every field is byte-neutral: worker count and
-/// morsel size only redistribute morsels (outputs merge in morsel-index
-/// order), and the bloom filter only skips probe rows that would miss
-/// anyway.
-struct StageHints {
-  /// Workers to actually run (clamped to the pool size); 0 = all.
-  int workers = 0;
-  /// Rows per morsel; 0 = ParallelConfig::morsel_size.
-  u64 morsel_size = 0;
-  /// Bloom filter on the join build: -1 = follow the spec/config, 0 =
-  /// force off, 1 = force on (still subject to the left-outer and
-  /// EngineConfig::join_bloom_filters exclusions).
-  int bloom = -1;
 };
 
 class ParallelExecutor {
@@ -213,6 +197,10 @@ class ParallelExecutor {
   QueryContext* ResetEngines();
   /// Sum of primitive cycles across all worker engines.
   u64 TotalPrimitiveCycles() const;
+  /// The timing epilogue of every run: execute = [t0, t_exec), the
+  /// worker engines' primitive cycles, postprocess = [t_exec, now),
+  /// and the wall total in cycles and seconds.
+  void FinishTimings(u64 t0, u64 t_exec, RunResult* result) const;
 
   EngineConfig engine_config_;
   ParallelConfig parallel_config_;

@@ -344,53 +344,16 @@ class StageBuilder {
     return Status::OK();
   }
 
-  /// Fills a merge-join stage: both sides materialized (or base
-  /// tables), each behind a prove-or-sort stage unless a Sort node on
-  /// the join key already proves the order statically.
+  /// Fills a merge-join stage: each side is a base table or the
+  /// stage materializing it. Order is not proven here: the merge
+  /// operator rejects a key that goes down while it drains each input,
+  /// the same check on the serial and the staged path.
   Status FillMergeJoin(const PlanNode* merge, Stage* s) {
     s->kind = Stage::Kind::kMergeJoin;
     s->merge = merge;
     MA_RETURN_IF_ERROR(MaterializeInput(merge->children[0].get(),
                                         &s->input, &s->deps));
-    MA_RETURN_IF_ERROR(EnsureSorted(merge->children[0].get(),
-                                    merge->merge_spec.left_key, &s->input,
-                                    &s->deps, merge->label + "/left"));
-    MA_RETURN_IF_ERROR(MaterializeInput(merge->children[1].get(),
-                                        &s->right, &s->deps));
-    MA_RETURN_IF_ERROR(EnsureSorted(merge->children[1].get(),
-                                    merge->merge_spec.right_key, &s->right,
-                                    &s->deps, merge->label + "/right"));
-    return Status::OK();
-  }
-
-  /// Guarantees that `ref` (one merge-join side, producing `node`'s
-  /// output) arrives sorted ascending on `key`: statically proven by a
-  /// Sort node on the key, otherwise wrapped in an order-proof stage
-  /// that verifies the key order at run time before the merge (the
-  /// same sorted-input contract the serial MergeJoinOperator asserts —
-  /// plans that need a sort say so with an explicit Sort node, which
-  /// both executors lower, keeping serial and staged semantics equal).
-  Status EnsureSorted(const PlanNode* node, const std::string& key,
-                      StageInput* ref, std::vector<int>* deps,
-                      std::string label) {
-    if (node->kind == NodeKind::kSort && !node->sort_keys.empty() &&
-        node->sort_keys[0].column == key && !node->sort_keys[0].desc) {
-      return Status::OK();  // order proven by construction
-    }
-    Stage s;
-    s.kind = Stage::Kind::kSort;
-    s.input = *ref;
-    if (ref->from_stage()) s.deps.push_back(ref->stage);
-    s.sort_keys = {{key, false}};
-    s.prove_sorted = true;
-    s.materialize = true;
-    s.out_schema = node->schema;
-    s.label = std::move(label);
-    const int id = Push(std::move(s));
-    *ref = StageInput{};
-    ref->stage = id;
-    deps->push_back(id);
-    return Status::OK();
+    return MaterializeInput(merge->children[1].get(), &s->right, &s->deps);
   }
 
   /// Resolves `node` to the id of a shared materializing stage when it
@@ -542,7 +505,6 @@ std::string StagePlan::Describe() const {
   for (const Stage& s : stages) {
     out.append("stage ").append(std::to_string(s.id)).append(": ");
     out.append(StageKindName(s.kind));
-    if (s.prove_sorted) out.append(" (prove order)");
     out.append(" <- ");
     DescribeInput(s.input, &out);
     if (s.kind == Stage::Kind::kMergeJoin) {

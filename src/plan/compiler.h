@@ -19,7 +19,7 @@
 //   - an aggregation (thread-local pre-aggregation + packed-key merge),
 //   - a sort / limit (a parallel TopN over large inputs, otherwise
 //     serial over its — materialized — input), or
-//   - a merge join (serial over two materialized, order-proven inputs).
+//   - a merge join (serial over two base tables or materialized inputs).
 // A stage's input is either a base-table scan leaf or the materialized
 // output of an earlier stage: every stage but the last writes its
 // result into an IntermediateTable that downstream stages scan exactly
@@ -30,14 +30,13 @@
 // and a filter or project above a breaker is a pipeline stage scanning
 // the breaker's intermediate.
 //
-// Merge joins become reachable from plans by order proof: each merge
-// input is wrapped in an order-proof stage unless a Sort node on the
-// join key already proves the order statically; at run time the stage
-// verifies the key column is ascending and passes the table through
-// untouched. An unsorted input without a Sort node is the same
-// contract breach the serial MergeJoinOperator aborts on — plans that
-// need sorting say so with an explicit Sort node, which both executors
-// lower, so execution mode never changes semantics.
+// A merge join's inputs must arrive sorted ascending on the join key;
+// plans that need sorting say so with an explicit Sort node, which both
+// executors lower. Each merge input is a base-table scan or the stage
+// materializing it, and MergeJoinOperator checks the order while it
+// drains each input. The staged kMergeJoin stage runs that same
+// operator, so an unsorted input fails with the same InvalidArgument
+// on both paths and execution mode never changes semantics.
 //
 // Determinism carries across stage boundaries: pipeline stages merge
 // per-morsel outputs in morsel order, aggregation stages emit groups in
@@ -110,8 +109,8 @@ struct Stage {
     kPipeline,   // streaming fragment, morsel-parallel
     kJoinBuild,  // shared hash-join build, morsel-parallel
     kAggregate,  // pipeline + GroupBy breaker, pre-agg + merge
-    kSort,       // sort/limit (or merge-input order proof); TopN if large
-    kMergeJoin,  // merge join over two materialized inputs, serial
+    kSort,       // sort/limit over one input; parallel TopN if large
+    kMergeJoin,  // merge join over two base or materialized inputs, serial
   };
 
   int id = 0;
@@ -130,10 +129,6 @@ struct Stage {
   const PlanNode* merge = nullptr;  // kMergeJoin node
   std::vector<SortKey> sort_keys;   // kSort (empty = keep input order)
   size_t limit = 0;                 // kSort
-  /// kSort inserted under a merge join: an order-proof stage — at run
-  /// time, assert the key column is ascending (the merge contract) and
-  /// pass the input through untouched.
-  bool prove_sorted = false;
   /// True → output goes to an IntermediateTable scanned by later
   /// stages; false → this is the last stage, its output is the result.
   bool materialize = false;

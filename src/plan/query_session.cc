@@ -34,18 +34,6 @@ u64 DrivingRows(const StagePlan& sp) {
   return rows;
 }
 
-/// True when the i64 column `name` of `t` is ascending (the runtime
-/// order proof for merge-join inputs).
-bool ColumnIsAscending(const Table* t, const std::string& name) {
-  const Column* c = t->FindColumn(name);
-  if (c == nullptr || c->type() != PhysicalType::kI64) return false;
-  const i64* d = c->Data<i64>();
-  for (size_t i = 1; i < c->size(); ++i) {
-    if (d[i] < d[i - 1]) return false;
-  }
-  return true;
-}
-
 std::unique_ptr<IntermediateTable> MakeIntermediate(const Stage& stage) {
   std::vector<IntermediateTable::ColumnSpec> specs;
   specs.reserve(stage.out_schema.size());
@@ -65,7 +53,7 @@ QuerySession::QuerySession(SessionConfig config, PrimitiveDictionary* dict)
   // A session enabled without a shared book learns privately (a server
   // shares ONE book across its driver sessions instead).
   if (config_.macro.enabled && config_.macro.book == nullptr) {
-    config_.macro.book = std::make_shared<StrategyBook>(config_.macro.params);
+    config_.macro.book = std::make_shared<StrategyBook>();
   }
 }
 
@@ -169,8 +157,12 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
         config_.engine, config_.parallel, dict_, config_.shared_pool);
     parallel_->set_task_tag(task_tag_);
   }
-  StrategyBook* book =
-      config_.macro.enabled ? config_.macro.book.get() : nullptr;
+  // Decides every stage's hints and, after a successful run, rewards
+  // them; inert (default hints) when macro-adaptivity is off.
+  StageStrategies strategies(
+      config_.macro.enabled ? config_.macro.book.get() : nullptr,
+      site_prefix, sp.stages.size(), parallel_->num_threads(),
+      config_.parallel.morsel_size);
   engine_.ResetProfile();  // sort and merge stages run here
   engine_.set_context(ctx);
   parallel_->set_context(ctx);
@@ -187,9 +179,7 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
   const u64 t0 = CycleClock::Now();
 
   // Stage outputs: shared join builds keyed by plan node, materialized
-  // intermediates (and order-proven aliases) keyed by stage id. An
-  // alias of a base table keeps the original scan's column projection;
-  // materialized intermediates scan every column (empty list).
+  // intermediates keyed by stage id (scanned with every column).
   Compiler::BuildMap builds;
   // Scalar values, filled as the producing stages complete (scalar
   // stages precede their consumers in topological order); captured by
@@ -198,12 +188,11 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
   std::vector<std::unique_ptr<SharedJoinBuild>> owned_builds;
   std::vector<std::unique_ptr<IntermediateTable>> mats(sp.stages.size());
   std::vector<const Table*> outs(sp.stages.size(), nullptr);
-  std::vector<std::vector<std::string>> out_cols(sp.stages.size());
   auto resolve = [&](const StageInput& in)
       -> std::pair<const Table*, std::vector<std::string>> {
     if (in.from_stage()) {
       MA_CHECK(outs[in.stage] != nullptr);
-      return {outs[in.stage], out_cols[in.stage]};
+      return {outs[in.stage], {}};
     }
     return {in.scan->table, in.scan->columns};
   };
@@ -221,69 +210,6 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
     };
   };
 
-  // --- Macro-adaptivity bookkeeping ----------------------------------
-  // Per-stage wall cycles and input rows, the reward currency: a
-  // strategy arm is credited with (tuples, cycles) only after the WHOLE
-  // query succeeds (partial timings of failed runs never teach).
-  std::vector<u64> stage_cycles(sp.stages.size(), 0);
-  std::vector<u64> stage_rows(sp.stages.size(), 0);
-  // (decision, stage id) pairs rewarded with that stage's own timing.
-  std::vector<std::pair<StrategyBook::Decision, int>> stage_decisions;
-  // Bloom decisions are rewarded with the build stage PLUS its probing
-  // consumers: the filter costs cycles at build time to save them at
-  // probe time, so only the combined timing ranks on/off fairly.
-  std::vector<std::pair<StrategyBook::Decision, int>> bloom_decisions;
-  // Resolves the hints for one parallel stage, recording decisions for
-  // the post-run reward pass. `bloom_site` marks a join build whose
-  // spec/config would bloom statically.
-  auto decide_hints = [&](const Stage& stage, bool bloom_site) {
-    StageHints hints;
-    if (book == nullptr) return hints;
-    const std::string site = site_prefix + "/s" + std::to_string(stage.id);
-    const int pool = parallel_->num_threads();
-    std::vector<StrategyArm> tarms;
-    auto add_t = [&tarms](int n) {
-      if (n <= 0) return;
-      for (const StrategyArm& a : tarms) {
-        if (a.value == static_cast<u64>(n)) return;
-      }
-      tarms.push_back({"t" + std::to_string(n), static_cast<u64>(n)});
-    };
-    add_t(pool);  // static default first: a cold site behaves statically
-    add_t(2);
-    add_t(1);
-    if (tarms.size() > 1) {
-      StrategyBook::Decision d =
-          book->Decide(site, StrategyKind::kThreadCount, tarms);
-      hints.workers = static_cast<int>(d.value);
-      stage_decisions.emplace_back(std::move(d), stage.id);
-    }
-    std::vector<StrategyArm> marms;
-    auto add_m = [&marms](u64 rows) {
-      if (rows == 0) return;
-      for (const StrategyArm& a : marms) {
-        if (a.value == rows) return;
-      }
-      marms.push_back({"m" + std::to_string(rows), rows});
-    };
-    add_m(config_.parallel.morsel_size);
-    add_m(config_.macro.small_morsel_rows);
-    add_m(config_.macro.large_morsel_rows);
-    if (marms.size() > 1) {
-      StrategyBook::Decision d =
-          book->Decide(site, StrategyKind::kMorselSize, marms);
-      hints.morsel_size = d.value;
-      stage_decisions.emplace_back(std::move(d), stage.id);
-    }
-    if (bloom_site) {
-      StrategyBook::Decision d = book->Decide(
-          site, StrategyKind::kBloom, {{"on", 1}, {"off", 0}});
-      hints.bloom = static_cast<int>(d.value);
-      bloom_decisions.emplace_back(std::move(d), stage.id);
-    }
-    return hints;
-  };
-
   StageProfile acc;
   RunResult result;
   // Shared stage epilogue: fold the stage's timings into the run
@@ -294,7 +220,6 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
     acc.execute += r.stages.execute;
     acc.primitives += r.stages.primitives;
     acc.postprocess += r.stages.postprocess;
-    stage_cycles[stage.id] = r.total_cycles;
     if (!r.status.ok()) return;  // the post-stage status check unwinds
     if (stage.materialize) {
       if (mats[stage.id] == nullptr) {
@@ -315,31 +240,27 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
         !ctx->MaybeInjectFault("stage/" + std::to_string(stage.id)).ok()) {
       break;
     }
+    const auto [table, columns] = resolve(stage.input);
+    u64 rows = table->row_count();
+    const u64 s0 = CycleClock::Now();
     switch (stage.kind) {
       case Stage::Kind::kJoinBuild: {
-        const auto [table, columns] = resolve(stage.input);
-        stage_rows[stage.id] = table->row_count();
         // Bloom is only a decision where the static path would bloom;
-        // left-outer and config exclusions stay hard rules.
+        // the left-outer exclusion stays a hard rule.
+        const HashJoinSpec& spec = stage.join->hash_spec;
         const bool bloom_site =
-            stage.join->hash_spec.use_bloom &&
-            stage.join->hash_spec.kind != HashJoinSpec::Kind::kLeftOuter &&
-            config_.engine.join_bloom_filters;
-        const StageHints hints = decide_hints(stage, bloom_site);
-        const u64 b0 = CycleClock::Now();
-        owned_builds.push_back(parallel_->BuildJoin(
-            table, columns, fragment(stage), stage.join->hash_spec, hints));
-        stage_cycles[stage.id] = CycleClock::Now() - b0;
+            spec.use_bloom && spec.kind != HashJoinSpec::Kind::kLeftOuter;
+        owned_builds.push_back(
+            parallel_->BuildJoin(table, columns, fragment(stage), spec,
+                                 strategies.Decide(stage.id, bloom_site)));
         if (owned_builds.back() == nullptr) break;  // ctx holds the error
         builds[stage.join] = owned_builds.back().get();
         break;
       }
       case Stage::Kind::kPipeline:
       case Stage::Kind::kAggregate: {
-        const auto [table, columns] = resolve(stage.input);
-        stage_rows[stage.id] = table->row_count();
         const auto factory = fragment(stage);
-        const StageHints hints = decide_hints(stage, false);
+        const StageHints hints = strategies.Decide(stage.id, false);
         RunResult r;
         if (stage.kind == Stage::Kind::kPipeline && stage.materialize) {
           // Per-morsel partials append straight into the intermediate.
@@ -360,40 +281,14 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
         break;
       }
       case Stage::Kind::kSort: {
-        const auto [table, columns] = resolve(stage.input);
-        stage_rows[stage.id] = table->row_count();
-        if (stage.prove_sorted) {
-          // Order-proof stage under a merge join: verify the key column
-          // is ascending and pass the input through untouched. A
-          // violation is the same contract breach the serial
-          // MergeJoinOperator aborts on (inputs must arrive sorted;
-          // plans sort via an explicit Sort node, which both executors
-          // lower) — enforcing it identically here keeps execution mode
-          // from changing semantics. The merge's own drain re-asserts
-          // per row; this earlier, explicit pass fails the stage before
-          // the remaining merge inputs materialize, and goes away once
-          // the compiler propagates order properties (ROADMAP).
-          if (stage.sort_keys.empty() ||
-              !ColumnIsAscending(table, stage.sort_keys[0].column)) {
-            ctx->Fail(Status::InvalidArgument(
-                "merge join input key '" +
-                (stage.sort_keys.empty() ? std::string("?")
-                                         : stage.sort_keys[0].column) +
-                "' is not sorted ascending"));
-            break;
-          }
-          outs[stage.id] = table;
-          out_cols[stage.id] = columns;
-          break;
-        }
         if (stage.limit > 0 && !stage.sort_keys.empty() &&
-            table->row_count() >= kParallelTopNMinRows) {
+            rows >= kParallelTopNMinRows) {
           // Sort+Limit over a large input: parallel TopN (per-worker
           // bounded heaps + ordered merge) instead of a serial full
           // sort — same comparator, byte-identical output.
-          const StageHints hints = decide_hints(stage, false);
-          finish(stage, parallel_->RunTopN(table, columns, stage.sort_keys,
-                                           stage.limit, hints));
+          finish(stage, parallel_->RunTopN(
+                            table, columns, stage.sort_keys, stage.limit,
+                            strategies.Decide(stage.id, false)));
           break;
         }
         auto op = std::make_unique<SortOperator>(
@@ -404,17 +299,20 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
         break;
       }
       case Stage::Kind::kMergeJoin: {
-        const auto [left, left_cols] = resolve(stage.input);
+        // The operator checks both inputs' key order while it drains
+        // them, exactly as on the serial path.
         const auto [right, right_cols] = resolve(stage.right);
+        rows += right->row_count();
         MergeJoinOperator op(
             &engine_,
-            std::make_unique<ScanOperator>(&engine_, left, left_cols),
+            std::make_unique<ScanOperator>(&engine_, table, columns),
             std::make_unique<ScanOperator>(&engine_, right, right_cols),
             stage.merge->merge_spec, stage.merge->label);
         finish(stage, engine_.Run(op));
         break;
       }
     }
+    strategies.Measured(stage.id, rows, CycleClock::Now() - s0, stage.deps);
     if (ctx->ShouldStop()) break;
     // A scalar stage just completed: read its broadcast value out of
     // the materialized single-row intermediate for every later stage's
@@ -440,25 +338,8 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
   result.total_cycles = CycleClock::Now() - t0;
   result.seconds = static_cast<f64>(result.total_cycles) /
                    CycleClock::FrequencyHz();
-
-  // Reward pass: only a fully successful query teaches (failed or
-  // cancelled runs carry partial timings that would poison the stats).
-  if (book != nullptr && result.status.ok()) {
-    for (const auto& [d, sid] : stage_decisions) {
-      book->Reward(d, stage_rows[sid], stage_cycles[sid]);
-    }
-    for (const auto& [d, bid] : bloom_decisions) {
-      u64 tuples = stage_rows[bid];
-      u64 cycles = stage_cycles[bid];
-      for (const Stage& s : sp.stages) {
-        if (std::find(s.deps.begin(), s.deps.end(), bid) != s.deps.end()) {
-          tuples += stage_rows[s.id];
-          cycles += stage_cycles[s.id];
-        }
-      }
-      book->Reward(d, tuples, cycles);
-    }
-  }
+  // Only a fully successful query teaches.
+  if (result.status.ok()) strategies.Reward();
   return result;
 }
 

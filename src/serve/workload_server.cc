@@ -85,8 +85,7 @@ WorkloadServer::WorkloadServer(ServerConfig config)
     // so tests/benches can observe it directly.
     strategy_book_ = config_.session.macro.book != nullptr
                          ? config_.session.macro.book
-                         : std::make_shared<StrategyBook>(
-                               config_.session.macro.params);
+                         : std::make_shared<StrategyBook>();
     strategy_book_->Seed(store_->DumpStrategies());
   }
   const int drivers = std::max(1, config_.max_concurrent);

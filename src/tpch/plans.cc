@@ -457,8 +457,8 @@ PlanBuilder Q12Items(const TpchData& d, const std::string& label) {
 
 plan::LogicalPlan Q12Plan(const TpchData& d) {
   // high = lines of URGENT/HIGH orders per shipmode: merge join with
-  // orders on the (ascending, order-proven) orderkey, filter on the
-  // fetched priority, count. Becomes the build side.
+  // orders on the ascending orderkey (checked as the merge drains),
+  // filter on the fetched priority, count. Becomes the build side.
   MergeJoinSpec mj;
   mj.left_key = "o_orderkey";
   mj.right_key = "l_orderkey";

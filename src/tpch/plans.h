@@ -49,10 +49,10 @@ plan::LogicalPlan Q6Plan(const TpchData& d);
 /// Q7: volume shipping. Customer-annotated orders merge-join the
 /// filtered lineitems on the clustered (ascending) orderkey — Figure
 /// 4(c)'s mergejoin instance; the hash probe preserves the orders scan
-/// order, so the staged order-proof stage passes without an explicit
-/// sort. Supplier nation attaches by hash join, the FR/DE nation-pair
-/// filter keeps the two directions, and revenue aggregates per
-/// (supp_nation, cust_nation, year).
+/// order, so both merge inputs arrive sorted without an explicit sort
+/// (the merge checks it as it drains them). Supplier nation attaches by
+/// hash join, the FR/DE nation-pair filter keeps the two directions,
+/// and revenue aggregates per (supp_nation, cust_nation, year).
 plan::LogicalPlan Q7Plan(const TpchData& d);
 
 /// Q8: national market share. A CASE projection zeroes non-BRAZIL
@@ -122,9 +122,10 @@ plan::LogicalPlan Q21Plan(const TpchData& d);
 plan::LogicalPlan Q22Plan(const TpchData& d);
 
 /// Q12: shipping modes and order priority (the Figure 2 query). A
-/// merge join on the clustered orderkey inside the plan: the staged
-/// compiler proves the input order (or sorts), aggregates above the
-/// merge, and hash-joins the high-priority counts against the totals.
+/// merge join on the clustered orderkey inside the plan (both inputs
+/// arrive sorted: the orders scan and the order-preserving lineitem
+/// filter), aggregates above the merge, and hash-joins the
+/// high-priority counts against the totals.
 plan::LogicalPlan Q12Plan(const TpchData& d);
 
 /// Q14: promotion effect. Promo and total revenue aggregated on a

@@ -628,7 +628,7 @@ TEST(PlanFragmentTest, FilterAboveAggregateIsLastPipelineStage) {
   ExpectParity(plan, /*morsel_size=*/512);
 }
 
-TEST(PlanFragmentTest, MergeJoinCompilesToProvenSortStages) {
+TEST(PlanFragmentTest, MergeJoinOverBaseScansIsOneStage) {
   // Two tables sorted ascending on k; left keys unique.
   auto left = std::make_unique<Table>("left");
   Column* lk = left->AddColumn("k", PhysicalType::kI64);
@@ -657,21 +657,18 @@ TEST(PlanFragmentTest, MergeJoinCompilesToProvenSortStages) {
   const LogicalPlan plan = b.Build();
   ASSERT_TRUE(plan.ok()) << plan.status.message();
 
-  // The merge join fragments: a prove-or-sort stage per (base-scan)
-  // input, then the final merge stage consuming both.
+  // Both inputs are base scans, read directly by the one merge stage
+  // (the merge operator checks their key order while it drains them).
   StagePlan sp;
   ASSERT_TRUE(Compiler::BuildStagePlan(plan, &sp).ok());
-  ASSERT_EQ(sp.stages.size(), 3u) << sp.Describe();
-  EXPECT_EQ(sp.stages[0].kind, Stage::Kind::kSort);
-  EXPECT_TRUE(sp.stages[0].prove_sorted);
-  EXPECT_TRUE(sp.stages[0].materialize);
-  EXPECT_EQ(sp.stages[1].kind, Stage::Kind::kSort);
-  EXPECT_TRUE(sp.stages[1].prove_sorted);
-  const Stage& merge = sp.stages[2];
+  ASSERT_EQ(sp.stages.size(), 1u) << sp.Describe();
+  const Stage& merge = sp.stages[0];
   EXPECT_EQ(merge.kind, Stage::Kind::kMergeJoin);
-  EXPECT_EQ(merge.input.stage, 0);
-  EXPECT_EQ(merge.right.stage, 1);
-  EXPECT_EQ(merge.deps, (std::vector<int>{0, 1}));
+  EXPECT_FALSE(merge.input.from_stage());
+  EXPECT_FALSE(merge.right.from_stage());
+  EXPECT_EQ(merge.input.scan->table, left.get());
+  EXPECT_EQ(merge.right.scan->table, right.get());
+  EXPECT_TRUE(merge.deps.empty());
   EXPECT_FALSE(merge.materialize);
 
   // kParallel now runs the staged path — byte-identical to serial.
@@ -684,12 +681,10 @@ TEST(PlanFragmentTest, MergeJoinCompilesToProvenSortStages) {
             ExactFingerprint(*serial.table));
 }
 
-TEST(PlanFragmentTest, MergeJoinOverExplicitSortProvesOrderStatically) {
+TEST(PlanFragmentTest, MergeJoinOverExplicitSortIsTwoStages) {
   // The right side arrives unsorted, and the plan says so with an
-  // explicit Sort node on the join key. The fragmenter proves that
-  // side's order statically (no runtime order-proof stage for it) and
-  // both executors lower the same Sort — serial and staged results
-  // stay byte-identical.
+  // explicit Sort node on the join key. Both executors lower the same
+  // Sort — serial and staged results stay byte-identical.
   auto left = std::make_unique<Table>("left");
   Column* lk = left->AddColumn("k", PhysicalType::kI64);
   Column* lv = left->AddColumn("lv", PhysicalType::kI64);
@@ -719,17 +714,18 @@ TEST(PlanFragmentTest, MergeJoinOverExplicitSortProvesOrderStatically) {
   const LogicalPlan plan = b.Build();
   ASSERT_TRUE(plan.ok()) << plan.status.message();
 
-  // Stages: order proof for the bare left scan, sort stage for the
-  // right side (its Sort node proves the order statically — no second
-  // proof stage), then the merge.
+  // Stages: the right side's sort, then the merge reading the bare left
+  // scan directly and the sort's intermediate.
   StagePlan sp;
   ASSERT_TRUE(Compiler::BuildStagePlan(plan, &sp).ok());
-  ASSERT_EQ(sp.stages.size(), 3u) << sp.Describe();
+  ASSERT_EQ(sp.stages.size(), 2u) << sp.Describe();
   EXPECT_EQ(sp.stages[0].kind, Stage::Kind::kSort);
-  EXPECT_TRUE(sp.stages[0].prove_sorted);
-  EXPECT_EQ(sp.stages[1].kind, Stage::Kind::kSort);
-  EXPECT_FALSE(sp.stages[1].prove_sorted);
-  EXPECT_EQ(sp.stages[2].kind, Stage::Kind::kMergeJoin);
+  EXPECT_TRUE(sp.stages[0].materialize);
+  const Stage& merge = sp.stages[1];
+  EXPECT_EQ(merge.kind, Stage::Kind::kMergeJoin);
+  EXPECT_FALSE(merge.input.from_stage());
+  EXPECT_EQ(merge.right.stage, 0);
+  EXPECT_EQ(merge.deps, (std::vector<int>{0}));
 
   QuerySession session{SessionConfig()};
   const RunResult serial = session.Run(plan, ExecMode::kSerial);

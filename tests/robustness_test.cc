@@ -331,6 +331,81 @@ TEST(RobustnessTest, MergeJoinRejectsUnsortedInputViaStatus) {
   EXPECT_EQ(r.reason, TerminationReason::kInternal);
 }
 
+TEST(RobustnessTest, UnsortedMergeInputFailsAlikeSerialAndStaged) {
+  // The merge join checks key order while it drains each input, and the
+  // staged merge stage runs the same operator: an unsorted base table
+  // and an unsorted filtered (materialized) input both fail with the
+  // same typed error on either path, and the session then runs a sorted
+  // plan byte-identical to serial.
+  auto left = std::make_unique<Table>("left");
+  Column* lk = left->AddColumn("lk", PhysicalType::kI64);
+  Column* lv = left->AddColumn("lv", PhysicalType::kI64);
+  for (i64 i = 0; i < 4000; ++i) {
+    lk->Append<i64>(i);
+    lv->Append<i64>(i * 7);
+  }
+  left->set_row_count(4000);
+  // Ascending except for one key far past the first vector.
+  auto right = std::make_unique<Table>("right");
+  auto sorted = std::make_unique<Table>("sorted");
+  Column* rk = right->AddColumn("rk", PhysicalType::kI64);
+  Column* rv = right->AddColumn("rv", PhysicalType::kI64);
+  Column* sk = sorted->AddColumn("rk", PhysicalType::kI64);
+  Column* sv = sorted->AddColumn("rv", PhysicalType::kI64);
+  for (i64 i = 0; i < 6000; ++i) {
+    rk->Append<i64>(i == 4500 ? 3 : i / 2);
+    rv->Append<i64>(i);
+    sk->Append<i64>(i / 2);
+    sv->Append<i64>(i);
+  }
+  right->set_row_count(6000);
+  sorted->set_row_count(6000);
+
+  MergeJoinSpec spec;
+  spec.left_key = "lk";
+  spec.right_key = "rk";
+  spec.left_outputs = {{"lv", "lv"}};
+  spec.right_outputs = {{"rv", "rv"}};
+  auto merge_plan = [&](PlanBuilder right_side) {
+    PlanBuilder b = PlanBuilder::Scan(left.get());
+    b.MergeJoin(std::move(right_side), spec);
+    LogicalPlan plan = b.Build();
+    EXPECT_TRUE(plan.ok()) << plan.status.message();
+    return plan;
+  };
+  PlanBuilder filtered = PlanBuilder::Scan(right.get());
+  filtered.Filter(Lt(Col("rv"), Lit(5900)));
+  const LogicalPlan unsorted_plans[] = {
+      merge_plan(PlanBuilder::Scan(right.get())),
+      merge_plan(std::move(filtered))};
+  const LogicalPlan sorted_plan = merge_plan(PlanBuilder::Scan(sorted.get()));
+
+  for (const int threads : {1, 4}) {
+    QuerySession session{Config(threads)};
+    for (const LogicalPlan& plan : unsorted_plans) {
+      const RunResult serial = session.Run(plan, ExecMode::kSerial);
+      const RunResult staged = session.Run(plan, ExecMode::kParallel);
+      EXPECT_TRUE(session.last_run_parallel());
+      for (const RunResult* r : {&serial, &staged}) {
+        EXPECT_FALSE(r->ok());
+        EXPECT_EQ(r->status.code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(r->status.message(),
+                  "merge join input key 'rk' is not sorted ascending");
+        EXPECT_EQ(r->table, nullptr);
+      }
+    }
+    const RunResult serial = session.Run(sorted_plan, ExecMode::kSerial);
+    const RunResult staged = session.Run(sorted_plan, ExecMode::kParallel);
+    ASSERT_TRUE(serial.ok()) << serial.status.ToString();
+    ASSERT_TRUE(staged.ok()) << staged.status.ToString();
+    EXPECT_TRUE(session.last_run_parallel());
+    EXPECT_EQ(staged.rows_emitted, 6000u);
+    EXPECT_EQ(ExactFingerprint(*staged.table),
+              ExactFingerprint(*serial.table))
+        << threads << " threads";
+  }
+}
+
 TEST(RobustnessTest, ReadScalarValueReportsContractBreaches) {
   // The builder statically forces scalar subqueries into single-row
   // shapes, but ReadScalarValue is a public seam (staged scalar stages,

@@ -151,19 +151,17 @@ TEST(StrategyInstanceTest, SweepsEveryArmThenExploitsCheapest) {
 }
 
 TEST(StrategyInstanceTest, ReexploresLeastChosenArmPeriodically) {
-  StrategyParams params;
-  params.explore_every = 4;
   StrategyInstance inst(StrategyKind::kThreadCount,
-                        {{"fast", 4}, {"slow", 1}}, params);
-  // A dominant arm 0 still cedes every 4th decision to arm 1.
+                        {{"fast", 4}, {"slow", 1}});
+  // A dominant arm 0 still cedes every 16th decision to arm 1.
   std::vector<int> choices;
-  for (int i = 0; i < 20; ++i) {
+  for (int i = 0; i < 80; ++i) {
     const int arm = inst.Decide();
     choices.push_back(arm);
     inst.Reward(arm, 1000, arm == 0 ? 100 : 100000);
   }
-  for (int i = 0; i < 20; ++i) {
-    const bool explore_slot = (i % 4) == 3;
+  for (int i = 0; i < 80; ++i) {
+    const bool explore_slot = (i % 16) == 15;
     if (i < 2) {
       EXPECT_EQ(choices[i], i) << "sweep at decision " << i;
     } else if (explore_slot) {
@@ -239,6 +237,143 @@ TEST(StrategyBookTest, IdenticalSeedsAndRewardsReproduceArmSequence) {
       EXPECT_EQ(e1[i].arms[a].cycles, e2[i].arms[a].cycles);
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// StageStrategies: arm sets, the bloom credit rule, reward gating.
+// ---------------------------------------------------------------------
+
+/// Labels of `book`'s record for `site`/`kind` in arm order (empty when
+/// the site never decided that kind).
+std::vector<std::string> RecordLabels(const StrategyBook& book,
+                                      const std::string& site,
+                                      StrategyKind kind) {
+  std::vector<std::string> labels;
+  for (const StrategyProfile& p : book.ExportDelta()) {
+    if (p.site != site || p.kind != kind) continue;
+    for (const StrategyProfile::Arm& a : p.arms) labels.push_back(a.label);
+  }
+  return labels;
+}
+
+const StrategyProfile::Arm* RecordArm(const std::vector<StrategyProfile>& recs,
+                                      const std::string& site,
+                                      StrategyKind kind,
+                                      const std::string& label) {
+  for (const StrategyProfile& p : recs) {
+    if (p.site != site || p.kind != kind) continue;
+    for (const StrategyProfile::Arm& a : p.arms) {
+      if (a.label == label) return &a;
+    }
+  }
+  return nullptr;
+}
+
+TEST(StageStrategiesTest, ArmSetsInOrderWithDuplicatesRemoved) {
+  struct Case {
+    int pool;
+    std::vector<int> workers;  // hint of each of three runs
+    std::vector<std::string> thread_labels;
+  };
+  const Case cases[] = {
+      {4, {4, 2, 1}, {"t4", "t2", "t1"}},
+      {2, {2, 1, 2}, {"t2", "t1"}},  // t2 deduplicated
+      {1, {1, 2, 1}, {"t1", "t2"}},  // t1 deduplicated; t2 clamps at use
+  };
+  for (const Case& c : cases) {
+    StrategyBook book;
+    std::vector<int> workers;
+    std::vector<u64> morsels;
+    std::vector<int> blooms;
+    // One run per iteration, never rewarded: the sweep walks every arm
+    // in index order, so the hints spell out the arm order; past the
+    // sweep, unmeasured arms tie and arm 0 is exploited.
+    for (int run = 0; run < 3; ++run) {
+      StageStrategies strategies(&book, "fpx", 1, c.pool, 65536);
+      const StageHints h = strategies.Decide(0, /*bloom_site=*/true);
+      workers.push_back(h.workers);
+      morsels.push_back(h.morsel_size);
+      blooms.push_back(h.bloom);
+    }
+    EXPECT_EQ(workers, c.workers) << "pool " << c.pool;
+    EXPECT_EQ(morsels, (std::vector<u64>{65536, 16384, 262144}));
+    EXPECT_EQ(blooms, (std::vector<int>{1, 0, 1}));
+    EXPECT_EQ(RecordLabels(book, "fpx/s0", StrategyKind::kThreadCount),
+              c.thread_labels)
+        << "pool " << c.pool;
+    EXPECT_EQ(RecordLabels(book, "fpx/s0", StrategyKind::kMorselSize),
+              (std::vector<std::string>{"m65536", "m16384", "m262144"}));
+    EXPECT_EQ(RecordLabels(book, "fpx/s0", StrategyKind::kBloom),
+              (std::vector<std::string>{"on", "off"}));
+  }
+}
+
+TEST(StageStrategiesTest, BloomCreditsBuildPlusDependentStages) {
+  // 0: join build (bloom site), 1: probes 0, 2: consumes 1 only,
+  // 3: probes 0 and consumes 2.
+  const std::vector<std::vector<int>> deps = {{}, {0}, {1}, {0, 2}};
+  const u64 rows[] = {100, 1000, 50, 400};
+  const u64 cycles[] = {7000, 90000, 3000, 20000};
+  StrategyBook book;
+  StageStrategies strategies(&book, "fpy", deps.size(), 4, 2048);
+  for (int s = 0; s < 4; ++s) {
+    strategies.Decide(s, /*bloom_site=*/s == 0);
+    strategies.Measured(s, rows[s], cycles[s], deps[s]);
+  }
+  strategies.Reward();
+  strategies.Reward();  // credits nothing more
+
+  const std::vector<StrategyProfile> recs = book.ExportDelta();
+  const StrategyProfile::Arm* bloom =
+      RecordArm(recs, "fpy/s0", StrategyKind::kBloom, "on");
+  ASSERT_NE(bloom, nullptr);
+  EXPECT_EQ(bloom->decisions, 1u);
+  EXPECT_EQ(bloom->tuples, 100u + 1000u + 400u);
+  EXPECT_EQ(bloom->cycles, 7000u + 90000u + 20000u);
+  // Thread and morsel decisions earn their own stage's timing only.
+  for (int s = 0; s < 4; ++s) {
+    const std::string site = "fpy/s" + std::to_string(s);
+    for (const auto& [kind, label] :
+         {std::pair{StrategyKind::kThreadCount, "t4"},
+          std::pair{StrategyKind::kMorselSize, "m2048"}}) {
+      const StrategyProfile::Arm* arm = RecordArm(recs, site, kind, label);
+      ASSERT_NE(arm, nullptr) << site;
+      EXPECT_EQ(arm->tuples, rows[s]) << site;
+      EXPECT_EQ(arm->cycles, cycles[s]) << site;
+    }
+    if (s > 0) {
+      EXPECT_TRUE(RecordLabels(book, site, StrategyKind::kBloom).empty());
+    }
+  }
+}
+
+TEST(StageStrategiesTest, NothingCreditedWithoutReward) {
+  StrategyBook book;
+  {
+    StageStrategies strategies(&book, "fpz", 2, 4, 65536);
+    strategies.Decide(0, /*bloom_site=*/true);
+    strategies.Measured(0, 100, 5000, {});
+    strategies.Decide(1, /*bloom_site=*/false);
+    strategies.Measured(1, 900, 8000, {0});
+  }  // a failed run: the scheduler never calls Reward()
+  EXPECT_EQ(book.decisions(), 5u);
+  for (const StrategyProfile& p : book.ExportDelta()) {
+    for (const StrategyProfile::Arm& a : p.arms) {
+      EXPECT_EQ(a.tuples, 0u) << p.site;
+      EXPECT_EQ(a.cycles, 0u) << p.site;
+    }
+  }
+}
+
+TEST(StageStrategiesTest, NullBookGivesDefaultHints) {
+  StageStrategies strategies(nullptr, "", 2, 4, 65536);
+  const StageHints h = strategies.Decide(0, /*bloom_site=*/true);
+  EXPECT_EQ(h.workers, 0);
+  EXPECT_EQ(h.morsel_size, 0u);
+  EXPECT_EQ(h.bloom, -1);
+  strategies.Measured(0, 100, 5000, {});
+  strategies.Measured(1, 100, 5000, {0});
+  strategies.Reward();  // nothing to credit, nothing to crash on
 }
 
 // ---------------------------------------------------------------------
@@ -383,16 +518,13 @@ TEST(ParallelTopNTest, SessionSortLimitPlanIdenticalAcrossThreads) {
       sc.parallel.morsel_size = 2048;
       sc.min_parallel_rows = 4096;
       sc.macro.enabled = macro_on;
-      sc.macro.params.explore_every = 2;
-      sc.macro.small_morsel_rows = 512;
-      sc.macro.large_morsel_rows = 8192;
-      if (macro_on) {
-        sc.macro.book = std::make_shared<StrategyBook>(sc.macro.params);
-      }
+      if (macro_on) sc.macro.book = std::make_shared<StrategyBook>();
       QuerySession session(sc);
       // With macro-adaptivity on, repeated runs walk the root sort
-      // stage's bandits through their arms; the bytes never move.
-      for (int round = 0; round < (macro_on ? 6 : 1); ++round) {
+      // stage's bandits through their arms (morsel 2048 gives the 512
+      // and 8192 arms) and past the 16th decision's re-exploration; the
+      // bytes never move.
+      for (int round = 0; round < (macro_on ? 17 : 1); ++round) {
         const RunResult r = session.Run(p, plan::ExecMode::kParallel);
         ASSERT_TRUE(r.ok()) << r.status.ToString();
         EXPECT_EQ(ExactFingerprint(*r.table), serial_fp)
@@ -438,16 +570,14 @@ TEST(MacroAdaptTest, LearnedRunsByteIdenticalToStaticAcrossThreads) {
       sc.macro.enabled = macro_on;
       std::shared_ptr<StrategyBook> book;
       if (macro_on) {
-        sc.macro.params.explore_every = 2;  // churn arms aggressively
-        sc.macro.small_morsel_rows = 512;
-        sc.macro.large_morsel_rows = 8192;
-        book = std::make_shared<StrategyBook>(sc.macro.params);
+        book = std::make_shared<StrategyBook>();
         sc.macro.book = book;
       }
       QuerySession session(sc);
-      // Repeated runs walk the bandit through sweep, explore and
-      // exploit arms; every one of them must produce the same bytes.
-      for (int round = 0; round < 6; ++round) {
+      // Repeated runs walk the bandit through sweep, exploit and (at the
+      // 16th decision) re-exploration arms, with morsel arms 2048, 512
+      // and 8192; every one of them must produce the same bytes.
+      for (int round = 0; round < (macro_on ? 17 : 6); ++round) {
         const RunResult jr =
             session.Run(join_plan, plan::ExecMode::kParallel);
         ASSERT_TRUE(jr.ok()) << jr.status.ToString();
