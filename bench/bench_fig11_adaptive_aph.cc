@@ -4,6 +4,8 @@
 #include <map>
 
 #include "bench_util.h"
+#include "plan/query_session.h"
+#include "tpch/plans.h"
 #include "tpch/workload.h"
 
 namespace ma::tpch {
@@ -21,9 +23,11 @@ void Panel(const TpchData& data, const PanelSpec& spec) {
   std::printf("\n--- %s ---\n", spec.title);
   std::map<std::string, Aph> series;
   auto capture = [&](const EngineConfig& cfg, const std::string& name) {
-    Engine engine(cfg);
-    RunQuery(&engine, data, spec.query);
-    for (const auto& inst : engine.instances()) {
+    plan::SessionConfig sc;
+    sc.engine = cfg;
+    plan::QuerySession session(sc);
+    session.Run(PlanForQuery(data, spec.query), plan::ExecMode::kSerial);
+    for (const auto& inst : session.engine()->instances()) {
       if (inst->label().find(spec.needle) != std::string::npos &&
           inst->aph() != nullptr && inst->calls() > 0) {
         series.emplace(name, *inst->aph());

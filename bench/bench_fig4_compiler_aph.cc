@@ -6,6 +6,8 @@
 #include <map>
 
 #include "bench_util.h"
+#include "plan/query_session.h"
+#include "tpch/plans.h"
 #include "tpch/workload.h"
 
 namespace ma::tpch {
@@ -18,9 +20,11 @@ void Panel(const TpchData& data, int q, const std::string& needle,
   std::printf("\n--- %s ---\n", title);
   std::map<std::string, Aph> series;
   for (const char* flavor : {"gcc", "icc", "clang"}) {
-    Engine engine(ForcedConfig(flavor));
-    RunQuery(&engine, data, q);
-    for (const auto& inst : engine.instances()) {
+    plan::SessionConfig sc;
+    sc.engine = ForcedConfig(flavor);
+    plan::QuerySession session(sc);
+    session.Run(PlanForQuery(data, q), plan::ExecMode::kSerial);
+    for (const auto& inst : session.engine()->instances()) {
       if (inst->label().find(needle) != std::string::npos &&
           inst->aph() != nullptr && inst->calls() > 0) {
         series.emplace(flavor, *inst->aph());

@@ -23,6 +23,8 @@ const char* CodeName(StatusCode code) {
       return "DeadlineExceeded";
     case StatusCode::kResourceExhausted:
       return "ResourceExhausted";
+    case StatusCode::kUnavailable:
+      return "Unavailable";
   }
   return "Unknown";
 }

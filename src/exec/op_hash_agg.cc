@@ -4,6 +4,7 @@
 #include <limits>
 #include <numeric>
 
+#include "exec/append.h"
 #include "prim/aggr_kernels.h"
 
 namespace ma {
@@ -52,6 +53,7 @@ Status HashAggOperator::Open() {
   emit_pos_ = 0;
   charged_bytes_ = 0;
   input_done_ = false;
+  saw_rows_ = false;
 
   // Drain the child now (blocking operator). Each batch is a
   // cancellation point; aggregation-state growth is charged against the
@@ -64,6 +66,7 @@ Status HashAggOperator::Open() {
     batch.Clear();
     if (!child_->Next(&batch)) break;
     if (batch.live_count() == 0) continue;
+    saw_rows_ = true;
     ConsumeBatch(batch);
     if (charged) MA_RETURN_IF_ERROR(ChargeAggMemory(ctx));
   }
@@ -78,30 +81,6 @@ Status HashAggOperator::Open() {
     }
   }
   ResizeAccumulators();
-  emit_order_.clear();
-  const std::vector<i64>& keys = table_.keys_by_gid();
-  if (emit_key_sorted_ && !group_keys_.empty() &&
-      !std::is_sorted(keys.begin(), keys.end())) {
-    emit_order_.resize(keys.size());
-    std::iota(emit_order_.begin(), emit_order_.end(), 0u);
-    auto by_key = [&keys](u32 a, u32 b) { return keys[a] < keys[b]; };
-    if (table_.in_run_mode()) {
-      // Runs already ascend by their leading part: sort inside each.
-      const int shift = table_.run_shift();
-      for (size_t begin = 0; begin < keys.size();) {
-        size_t end = begin + 1;
-        while (end < keys.size() &&
-               (keys[end] >> shift) == (keys[begin] >> shift)) {
-          ++end;
-        }
-        std::sort(emit_order_.begin() + begin, emit_order_.begin() + end,
-                  by_key);
-        begin = end;
-      }
-    } else {
-      std::sort(emit_order_.begin(), emit_order_.end(), by_key);
-    }
-  }
   return Status::OK();
 }
 
@@ -272,34 +251,97 @@ void HashAggOperator::ConsumeBatch(Batch& batch) {
   }
 }
 
-HashAggOperator::Partial HashAggOperator::partial() {
-  MA_CHECK(input_done_);
-  // Mergers look groups up by key (GroupTable::Find): complete the slots
-  // of a table that is still in run mode.
-  if (table_.in_run_mode()) table_.LeaveRunMode(0);
-  Partial p;
-  p.groups = &table_;
-  p.group_out_cols = &group_out_cols_;
-  for (const AggState& st : aggs_) {
-    Partial::Agg a;
-    a.fn = &st.spec.fn;
-    a.out_name = &st.spec.out_name;
-    a.is_float = st.is_float();
-    a.typed_from_data = st.update != nullptr;
-    a.exact = st.exact();
-    a.acc_i = &st.acc_i;
-    a.acc_f = &st.acc_f;
-    a.acc_fx = &st.acc_fx;
-    a.count = &st.count;
-    p.aggs.push_back(a);
+namespace {
+
+/// Folds accumulator `from[g]` into `(*acc)[gids[g]]` for every group g
+/// of a merged-in operator: mins and maxes combine, everything else adds.
+template <typename T>
+void FoldInto(const std::string& fn, const std::vector<u32>& gids,
+              const std::vector<T>& from, std::vector<T>* acc) {
+  T* d = acc->data();
+  if (fn == "min") {
+    for (size_t g = 0; g < gids.size(); ++g) {
+      d[gids[g]] = std::min(d[gids[g]], from[g]);
+    }
+  } else if (fn == "max") {
+    for (size_t g = 0; g < gids.size(); ++g) {
+      d[gids[g]] = std::max(d[gids[g]], from[g]);
+    }
+  } else {
+    for (size_t g = 0; g < gids.size(); ++g) d[gids[g]] += from[g];
   }
-  return p;
+}
+
+}  // namespace
+
+void HashAggOperator::Merge(const HashAggOperator& other) {
+  MA_CHECK(input_done_ && other.input_done_ && emit_pos_ == 0);
+  MA_CHECK(aggs_.size() == other.aggs_.size());
+  const u32 groups_before = table_.num_groups();
+  std::vector<u32> gids(other.table_.num_groups());
+  // other's gids of the groups new here, in the order they were added.
+  std::vector<sel_t> fresh;
+  for (u32 g = 0; g < gids.size(); ++g) {
+    gids[g] = table_.FindOrInsert(other.table_.KeyOfGroup(g));
+    if (gids[g] >= groups_before) fresh.push_back(g);
+  }
+  if (!fresh.empty()) {
+    MA_CHECK(group_out_cols_.size() == other.group_out_cols_.size());
+    for (size_t c = 0; c < group_out_cols_.size(); ++c) {
+      AppendGatherColumn(*other.group_out_cols_[c], fresh.data(),
+                         fresh.size(), group_out_cols_[c].get());
+    }
+  }
+  ResizeAccumulators();
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    AggState& st = aggs_[a];
+    const AggState& o = other.aggs_[a];
+    MA_CHECK(st.arg_type == o.arg_type);
+    const std::string& fn = st.spec.fn;
+    if (st.exact()) {
+      FoldInto(fn, gids, o.acc_fx, &st.acc_fx);
+    } else if (st.is_float()) {
+      FoldInto(fn, gids, o.acc_f, &st.acc_f);
+    } else {
+      FoldInto(fn, gids, o.acc_i, &st.acc_i);
+    }
+    if (fn == "avg") FoldInto(fn, gids, o.count, &st.count);
+  }
+}
+
+void HashAggOperator::PlanEmitOrder() {
+  emit_order_.clear();
+  const std::vector<i64>& keys = table_.keys_by_gid();
+  if (!emit_key_sorted_ || group_keys_.empty() ||
+      std::is_sorted(keys.begin(), keys.end())) {
+    return;
+  }
+  emit_order_.resize(keys.size());
+  std::iota(emit_order_.begin(), emit_order_.end(), 0u);
+  auto by_key = [&keys](u32 a, u32 b) { return keys[a] < keys[b]; };
+  if (table_.in_run_mode()) {
+    // Runs already ascend by their leading part: sort inside each.
+    const int shift = table_.run_shift();
+    for (size_t begin = 0; begin < keys.size();) {
+      size_t end = begin + 1;
+      while (end < keys.size() &&
+             (keys[end] >> shift) == (keys[begin] >> shift)) {
+        ++end;
+      }
+      std::sort(emit_order_.begin() + begin, emit_order_.begin() + end,
+                by_key);
+      begin = end;
+    }
+  } else {
+    std::sort(emit_order_.begin(), emit_order_.end(), by_key);
+  }
 }
 
 bool HashAggOperator::Next(Batch* out) {
   MA_CHECK(input_done_);
   const u32 groups = table_.num_groups();
   if (emit_pos_ >= groups) return false;
+  if (emit_pos_ == 0) PlanEmitOrder();
   // An aggregation over zero groups with group keys emits nothing; a
   // global aggregation always has its one group.
   const size_t n =

@@ -15,6 +15,10 @@
 // inside each run. The first decrease turns it into a plain hash table
 // for the rest of the input. Gids, accumulator updates and emission
 // order are the same in both modes, so the bytes are too.
+//
+// Merge() folds another operator's drained groups into this one. The
+// parallel executor merges its per-worker pre-aggregations that way, so
+// serial and staged aggregates are emitted by the same Next().
 #ifndef MA_EXEC_OP_HASH_AGG_H_
 #define MA_EXEC_OP_HASH_AGG_H_
 
@@ -83,41 +87,26 @@ class HashAggOperator : public Operator {
 
   /// Emit groups in ascending packed-key order instead of first-seen
   /// order. The plan compiler sets this on serially-compiled GroupBy
-  /// nodes so a plan's result row order matches the parallel merge
-  /// (which unions per-worker groups by sorted key) even without a
-  /// Sort above the aggregation. Call before Open().
+  /// nodes, and the parallel executor on its merged pre-aggregation, so
+  /// a plan's result row order is the same on both paths even without a
+  /// Sort above the aggregation. The order is computed by the first
+  /// Next(), so it covers merged groups too; call before that.
   void set_emit_key_sorted(bool sorted) { emit_key_sorted_ = sorted; }
 
-  /// Read-only view of the pre-aggregation state once Open() has
-  /// drained the input — what a morsel-driven parallel executor merges
-  /// across worker threads ("thread-local pre-aggregation"). Sums,
-  /// counts, mins and maxes merge exactly; avg merges from its sum and
-  /// count parts (which is why the view exposes them separately rather
-  /// than the emitted ratio). partial() takes the group table out of
-  /// run mode, so the view's GroupTable::Find works.
-  struct Partial {
-    struct Agg {
-      const std::string* fn = nullptr;        // "sum" | ... | "avg"
-      const std::string* out_name = nullptr;
-      bool is_float = false;
-      /// True when is_float was inferred from actual input data; false
-      /// when this operator drained nothing and fell back to the
-      /// type_hint. Mergers must trust a data-typed partial over a
-      /// hint-typed one (a starved worker's hint may disagree).
-      bool typed_from_data = false;
-      /// True when this aggregate accumulates in fixed point (acc_fx);
-      /// mergers must then fold acc_fx, not acc_f.
-      bool exact = false;
-      const std::vector<i64>* acc_i = nullptr;  // indexed by gid
-      const std::vector<f64>* acc_f = nullptr;
-      const std::vector<i128>* acc_fx = nullptr;  // exact f64 sums
-      const std::vector<i64>* count = nullptr;    // avg only
-    };
-    const GroupTable* groups = nullptr;  // packed key per dense gid
-    std::vector<Agg> aggs;
-    const std::vector<std::unique_ptr<Column>>* group_out_cols = nullptr;
-  };
-  Partial partial();
+  /// True once Open() consumed a live row. An operator that saw none
+  /// typed its accumulators from the specs' type_hint and holds only
+  /// identity values (no groups, or the one global group).
+  bool saw_rows() const { return saw_rows_; }
+
+  /// Folds `other`'s groups into this operator: the merge step of
+  /// thread-local pre-aggregation. Both operators ran the same specs,
+  /// drained their input in Open() and saw rows; Next() has not run yet.
+  /// Each of `other`'s groups, in gid order, finds or inserts its key
+  /// here, and its accumulators fold into that group: sums, counts and
+  /// avg parts add (exact f64 sums in i128), mins and maxes combine. A
+  /// group new to this operator takes `other`'s first-seen group
+  /// outputs. Calls no primitive, so profiles are unchanged.
+  void Merge(const HashAggOperator& other);
 
  private:
   struct AggState {
@@ -138,6 +127,9 @@ class HashAggOperator : public Operator {
 
   void ConsumeBatch(Batch& batch);
   void ResizeAccumulators();
+  /// Fills emit_order_ when groups must come out key-sorted and the
+  /// gids are not already in key order.
+  void PlanEmitOrder();
   /// Charges the growth of the aggregation state (group table +
   /// accumulators + group-output columns) since the last charge against
   /// the query's memory budget ("alloc/agg"). Only called when the
@@ -163,6 +155,7 @@ class HashAggOperator : public Operator {
   /// Aggregation-state bytes already charged to the query context.
   u64 charged_bytes_ = 0;
   bool input_done_ = false;
+  bool saw_rows_ = false;
   bool emit_key_sorted_ = false;
   /// Emission order (gid per output row) when emit_key_sorted_; empty
   /// means first-seen order (the contiguous fast path).

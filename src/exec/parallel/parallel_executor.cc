@@ -1,13 +1,10 @@
 #include "exec/parallel/parallel_executor.h"
 
 #include <algorithm>
-#include <limits>
-#include <optional>
 #include <thread>
 
 #include "common/cycleclock.h"
 #include "exec/append.h"
-#include "prim/aggr_kernels.h"
 #include "prim/bloom.h"
 
 namespace ma {
@@ -121,22 +118,16 @@ RunResult ParallelExecutor::RunPipelineInto(
   return result;
 }
 
-RunResult ParallelExecutor::RunPipelineImpl(
-    const Table* table, std::vector<std::string> scan_columns,
-    const PipelineFactory& factory, Table* sink, const StageHints& hints) {
-  MA_CHECK(table != nullptr);
-  QueryContext* ctx = ResetEngines();
-  const u64 t0 = CycleClock::Now();
-  ctx->MaybeInjectFault("parallel/pipeline");
-
+template <typename Slot, typename Fill>
+std::vector<Slot> ParallelExecutor::DrainPerMorsel(
+    QueryContext* ctx, const Table* table,
+    const std::vector<std::string>& scan_columns,
+    const PipelineFactory& factory, const StageHints& hints,
+    const char* site, Fill fill) {
   const int workers = ResolveWorkers(hints);
   MorselQueue queue(table->row_count(), ResolveMorselSize(hints), workers,
                     parallel_config_.work_stealing);
-  // One output slot per morsel; a morsel is processed by exactly one
-  // worker, so workers never write the same slot. Merging the slots in
-  // index order afterwards makes the result independent of thread count
-  // and stealing.
-  std::vector<std::unique_ptr<Table>> morsel_out(queue.num_morsels());
+  std::vector<Slot> slots(queue.num_morsels());
   const bool accounted = ctx->accounting_enabled();
 
   Status pool_status = pool_->Run([&](int w) {
@@ -157,20 +148,32 @@ RunResult ParallelExecutor::RunPipelineImpl(
       if (!root->Next(&batch)) break;
       if (batch.live_count() == 0) continue;
       if (accounted &&
-          !ctx->ReserveMemory("alloc/pipeline", ApproxBatchBytes(batch))
-               .ok()) {
+          !ctx->ReserveMemory(site, ApproxBatchBytes(batch)).ok()) {
         return;
       }
       // The pipeline is pull-based and holds no batches back, so this
       // output belongs to the morsel the scan leaf emitted last.
-      const size_t m = scan_leaf->current_morsel();
-      if (morsel_out[m] == nullptr) {
-        morsel_out[m] = std::make_unique<Table>("morsel");
-      }
-      AppendBatchToTable(batch, morsel_out[m].get());
+      fill(batch, &slots[scan_leaf->current_morsel()]);
     }
   }, task_tag_);
   if (!pool_status.ok()) ctx->Fail(std::move(pool_status));
+  return slots;
+}
+
+RunResult ParallelExecutor::RunPipelineImpl(
+    const Table* table, std::vector<std::string> scan_columns,
+    const PipelineFactory& factory, Table* sink, const StageHints& hints) {
+  MA_CHECK(table != nullptr);
+  QueryContext* ctx = ResetEngines();
+  const u64 t0 = CycleClock::Now();
+  ctx->MaybeInjectFault("parallel/pipeline");
+  const std::vector<std::unique_ptr<Table>> morsel_out =
+      DrainPerMorsel<std::unique_ptr<Table>>(
+          ctx, table, scan_columns, factory, hints, "alloc/pipeline",
+          [](const Batch& batch, std::unique_ptr<Table>* part) {
+            if (*part == nullptr) *part = std::make_unique<Table>("morsel");
+            AppendBatchToTable(batch, part->get());
+          });
   const u64 t_exec = CycleClock::Now();
 
   RunResult result;
@@ -195,43 +198,16 @@ std::unique_ptr<SharedJoinBuild> ParallelExecutor::BuildJoin(
   QueryContext* ctx = ResetEngines();
   ctx->MaybeInjectFault("parallel/build");
 
-  const int workers = ResolveWorkers(hints);
-  MorselQueue queue(build_table->row_count(), ResolveMorselSize(hints),
-                    workers, parallel_config_.work_stealing);
   struct BuildPartial {
     std::vector<i64> keys;
     std::vector<std::unique_ptr<Column>> cols;
   };
-  std::vector<BuildPartial> partials(queue.num_morsels());
-  const bool accounted = ctx->accounting_enabled();
-
-  Status pool_status = pool_->Run([&](int w) {
-    if (w >= workers || ctx->ShouldStop()) return;
-    Engine* engine = engines_[w].get();
-    auto scan = std::make_unique<MorselScanOperator>(
-        engine, build_table, scan_columns, &queue, w);
-    MorselScanOperator* scan_leaf = scan.get();
-    OperatorPtr root = factory(engine, std::move(scan));
-    Status open = root->Open();
-    if (!open.ok()) {
-      ctx->Fail(std::move(open));
-      return;
-    }
-    Batch batch;
-    for (;;) {
-      batch.Clear();
-      if (!root->Next(&batch)) break;
-      if (batch.live_count() == 0) continue;
-      if (accounted &&
-          !ctx->ReserveMemory("alloc/build", ApproxBatchBytes(batch)).ok()) {
-        return;
-      }
-      BuildPartial& part = partials[scan_leaf->current_morsel()];
-      HashJoinOperator::DrainBuildBatch(batch, spec, &part.keys,
-                                        &part.cols);
-    }
-  }, task_tag_);
-  if (!pool_status.ok()) ctx->Fail(std::move(pool_status));
+  const std::vector<BuildPartial> partials = DrainPerMorsel<BuildPartial>(
+      ctx, build_table, scan_columns, factory, hints, "alloc/build",
+      [&spec](const Batch& batch, BuildPartial* part) {
+        HashJoinOperator::DrainBuildBatch(batch, spec, &part->keys,
+                                          &part->cols);
+      });
   // A failed build is useless (and possibly partial): report through
   // the context and hand the caller nothing to probe.
   if (!ctx->status().ok()) return nullptr;
@@ -314,8 +290,6 @@ RunResult ParallelExecutor::RunAgg(const Table* table,
   MorselQueue queue(table->row_count(), ResolveMorselSize(hints), workers,
                     parallel_config_.work_stealing);
   std::vector<std::unique_ptr<HashAggOperator>> aggs(num_threads());
-  std::vector<std::optional<HashAggOperator::Partial>> worker_parts(
-      num_threads());
 
   Status pool_status = pool_->Run([&](int w) {
     if (w >= workers || ctx->ShouldStop()) return;
@@ -332,208 +306,47 @@ RunResult ParallelExecutor::RunAgg(const Table* table,
     aggs[w] = std::make_unique<HashAggOperator>(
         engine, std::move(child), plan.group_keys, plan.group_outputs,
         std::move(specs), "parallel/agg");
+    aggs[w]->set_emit_key_sorted(true);
     // Open() drains this worker's share of the morsels — the
     // thread-local pre-aggregation. It polls the context per batch and
     // charges "alloc/agg" growth itself.
     Status open = aggs[w]->Open();
-    if (!open.ok()) {
-      ctx->Fail(std::move(open));
-      return;
-    }
-    // Taken here rather than in the merge: a group table still in run
-    // mode rehashes its groups into its slots on this worker's thread.
-    worker_parts[w] = aggs[w]->partial();
+    if (!open.ok()) ctx->Fail(std::move(open));
   }, task_tag_);
   if (!pool_status.ok()) ctx->Fail(std::move(pool_status));
   const u64 t_exec = CycleClock::Now();
+  RunResult result;
   if (!ctx->status().ok()) {
-    RunResult result;
     result.status = ctx->status();
     result.reason = ReasonFromStatus(result.status);
     FinishTimings(t0, t_exec, &result);
     return result;
   }
 
-  // --- Merge the thread-local partials -------------------------------
-  // Workers past the hinted count never built an operator; skip them.
-  std::vector<HashAggOperator::Partial> parts;
-  for (auto& part : worker_parts) {
-    if (part.has_value()) parts.push_back(std::move(*part));
-  }
-
-  // Union of group keys, emitted in packed-key order so the output is
-  // independent of which worker saw which group first.
-  std::vector<i64> keys;
-  const bool grouped = !plan.group_keys.empty();
-  if (grouped) {
-    for (const auto& part : parts) {
-      for (u32 g = 0; g < part.groups->num_groups(); ++g) {
-        keys.push_back(part.groups->KeyOfGroup(g));
-      }
+  // Merge, in worker-id order, every pre-aggregation that saw rows into
+  // the first such one; it then emits key-sorted through its Next(). A
+  // worker that saw no rows holds only identity accumulators typed from
+  // the hints, which may disagree with the data's types: skip it. When
+  // no worker saw a row, worker 0's state is the (empty or identity)
+  // result.
+  HashAggOperator* merged = nullptr;
+  for (const auto& agg : aggs) {
+    if (agg == nullptr || !agg->saw_rows()) continue;
+    if (merged == nullptr) {
+      merged = agg.get();
+    } else {
+      merged->Merge(*agg);
     }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  } else {
-    keys.push_back(0);  // the single global group
   }
-
-  RunResult result;
+  if (merged == nullptr) merged = aggs[0].get();
+  MA_CHECK(merged != nullptr);
   result.table = std::make_unique<Table>("result");
-
-  // Group outputs: first-seen row values, taken from the first worker
-  // (in id order) holding the group. These columns are functionally
-  // dependent on the group key in every query here, so any worker's
-  // copy is the same value. The owner of each key is computed once (not
-  // per column), and consecutive keys owned by the same worker merge as
-  // one bulk gather per run — string payloads move as one contiguous
-  // heap block instead of one heap interaction per row.
-  struct GroupOwner {
-    u32 part = 0;
-    sel_t gid = 0;
-  };
-  std::vector<GroupOwner> owners;
-  if (!plan.group_outputs.empty()) {
-    owners.reserve(keys.size());
-    for (const i64 key : keys) {
-      GroupOwner o;
-      bool found = false;
-      for (u32 p = 0; p < parts.size(); ++p) {
-        if (parts[p].group_out_cols->empty()) continue;
-        const i64 gid = parts[p].groups->Find(key);
-        if (gid < 0) continue;
-        o.part = p;
-        o.gid = static_cast<sel_t>(gid);
-        found = true;
-        break;
-      }
-      MA_CHECK(found);  // keys is the union of all workers' groups
-      owners.push_back(o);
-    }
+  Batch batch;
+  while (merged->Next(&batch)) {
+    AppendBatchToTable(batch, result.table.get());
+    batch.Clear();
   }
-  std::vector<sel_t> run;
-  for (size_t g = 0; g < plan.group_outputs.size(); ++g) {
-    PhysicalType type = PhysicalType::kI64;
-    for (const auto& part : parts) {
-      if (g < part.group_out_cols->size()) {
-        type = (*part.group_out_cols)[g]->type();
-        break;
-      }
-    }
-    Column* dst = result.table->AddColumn(plan.group_outputs[g], type);
-    for (size_t i = 0; i < owners.size();) {
-      const u32 p = owners[i].part;
-      run.clear();
-      size_t j = i;
-      for (; j < owners.size() && owners[j].part == p; ++j) {
-        run.push_back(owners[j].gid);
-      }
-      const auto& cols = *parts[p].group_out_cols;
-      MA_CHECK(g < cols.size());
-      AppendGatherColumn(*cols[g], run.data(), run.size(), dst);
-      i = j;
-    }
-  }
-
-  for (size_t a = 0; a < plan.aggs.size(); ++a) {
-    const std::string& fn = plan.aggs[a].fn;
-    const std::string& out_name = plan.aggs[a].out_name;
-    // Accumulator type: trust a partial that inferred it from real
-    // input over one that fell back to the type_hint — a worker starved
-    // by stealing drains nothing and its hint may disagree with what
-    // the busy workers saw. A hint-typed partial holds no data, so
-    // skipping its (differently-typed) accumulators in the fold below
-    // loses nothing.
-    bool is_float = parts.empty() ? false : parts[0].aggs[a].is_float;
-    bool exact = parts.empty() ? false : parts[0].aggs[a].exact;
-    for (const auto& part : parts) {
-      if (part.aggs[a].typed_from_data) {
-        is_float = part.aggs[a].is_float;
-        exact = part.aggs[a].exact;
-        break;
-      }
-    }
-    // Per-key fold over the partials in worker order. Exact (fixed-
-    // point) f64 sums fold in i128 — integer adds, so the total is
-    // independent of worker count and row distribution; the single
-    // rounding to f64 happens at emit below.
-    using CombineI = i64 (*)(i64, i64);
-    using CombineF = f64 (*)(f64, f64);
-    struct Folded {
-      f64 f;
-      i64 i;
-      i128 fx;
-      i64 count;
-    };
-    auto fold = [&](i64 key, i64 init_i, f64 init_f, CombineI ci,
-                    CombineF cf) -> Folded {
-      Folded r{init_f, init_i, 0, 0};
-      for (const auto& part : parts) {
-        const i64 gid = grouped ? part.groups->Find(key)
-                                : (part.groups->num_groups() > 0 ? 0 : -1);
-        if (gid < 0) continue;
-        const auto& pa = part.aggs[a];
-        const size_t g = static_cast<size_t>(gid);
-        if (exact) {
-          if (g < pa.acc_fx->size()) r.fx += (*pa.acc_fx)[g];
-        } else if (is_float) {
-          if (g < pa.acc_f->size()) r.f = cf(r.f, (*pa.acc_f)[g]);
-        } else {
-          if (g < pa.acc_i->size()) r.i = ci(r.i, (*pa.acc_i)[g]);
-        }
-        if (pa.count != nullptr && g < pa.count->size()) {
-          r.count += (*pa.count)[g];
-        }
-      }
-      return r;
-    };
-
-    const CombineI add_i = +[](i64 x, i64 y) { return x + y; };
-    const CombineF add_f = +[](f64 x, f64 y) { return x + y; };
-    const CombineI min_i = +[](i64 x, i64 y) { return std::min(x, y); };
-    const CombineF min_f = +[](f64 x, f64 y) { return std::min(x, y); };
-    const CombineI max_i = +[](i64 x, i64 y) { return std::max(x, y); };
-    const CombineF max_f = +[](f64 x, f64 y) { return std::max(x, y); };
-
-    if (fn == "avg") {
-      Column* dst = result.table->AddColumn(out_name, PhysicalType::kF64);
-      for (const i64 key : keys) {
-        const Folded r = fold(key, 0, 0.0, add_i, add_f);
-        const f64 sum = exact ? FixToF64(r.fx)
-                              : (is_float ? r.f : static_cast<f64>(r.i));
-        dst->Append<f64>(r.count == 0 ? 0.0 : sum / r.count);
-      }
-    } else if (fn == "min" || fn == "max") {
-      const bool is_min = fn == "min";
-      Column* dst = result.table->AddColumn(
-          out_name, is_float ? PhysicalType::kF64 : PhysicalType::kI64);
-      const i64 init_i = is_min ? std::numeric_limits<i64>::max()
-                                : std::numeric_limits<i64>::min();
-      const f64 init_f = is_min ? std::numeric_limits<f64>::infinity()
-                                : -std::numeric_limits<f64>::infinity();
-      for (const i64 key : keys) {
-        const Folded r = fold(key, init_i, init_f, is_min ? min_i : max_i,
-                              is_min ? min_f : max_f);
-        if (is_float) {
-          dst->Append<f64>(r.f);
-        } else {
-          dst->Append<i64>(r.i);
-        }
-      }
-    } else {  // sum, count
-      Column* dst = result.table->AddColumn(
-          out_name, is_float ? PhysicalType::kF64 : PhysicalType::kI64);
-      for (const i64 key : keys) {
-        const Folded r = fold(key, 0, 0.0, add_i, add_f);
-        if (is_float) {
-          dst->Append<f64>(exact ? FixToF64(r.fx) : r.f);
-        } else {
-          dst->Append<i64>(r.i);
-        }
-      }
-    }
-  }
-  result.table->set_row_count(keys.size());
-  result.rows_emitted = keys.size();
+  result.rows_emitted = result.table->row_count();
 
   FinishTimings(t0, t_exec, &result);
   return result;

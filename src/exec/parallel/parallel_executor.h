@@ -20,11 +20,14 @@
 // the merged result is byte-identical no matter how many threads ran or
 // which worker stole which morsel. Join builds are concatenated in
 // morsel order too, making build-side row ids deterministic.
-// Aggregations pre-aggregate thread-locally and merge; groups are
-// emitted in packed-key order. Integer aggregates are exact under any
-// thread count; f64 sums depend on which rows each thread saw (FP
-// addition is not associative), so they are deterministic per run shape
-// but not bit-stable across thread counts.
+// Aggregations pre-aggregate thread-locally; the workers' operators
+// merge into one (HashAggOperator::Merge), which emits its groups in
+// packed-key order through the same Next() as the serial path. Integer
+// aggregates, and the exact fixed-point f64 sums and avgs that plan
+// compilation sets, are bit-stable across thread counts. Only a
+// hand-built rounded f64 sum depends on which rows each thread saw (FP
+// addition is not associative): deterministic per run shape, not
+// across thread counts.
 #ifndef MA_EXEC_PARALLEL_PARALLEL_EXECUTOR_H_
 #define MA_EXEC_PARALLEL_PARALLEL_EXECUTOR_H_
 
@@ -124,12 +127,15 @@ class ParallelExecutor {
       const StageHints& hints = StageHints());
 
   /// Thread-local pre-aggregation + merge. Each worker drains its own
-  /// HashAggOperator over the factory pipeline; partials merge into one
-  /// result table with groups emitted in packed-key order.
+  /// HashAggOperator over the factory pipeline; the operators of the
+  /// workers that saw rows merge, in worker-id order, into the first of
+  /// them, which emits the result with groups in packed-key order.
   /// `group_outputs` must be functionally dependent on the group keys
   /// (the usual dictionary-decode companions): each worker records its
-  /// own first-seen value per group and the merge takes any worker's
-  /// copy, which is only well-defined when all copies agree.
+  /// own first-seen value per group and a group takes the copy of the
+  /// first worker holding it, which is only well-defined when all
+  /// copies agree. A grouped aggregation over no rows yields a table
+  /// with no columns; callers restore the declared schema.
   struct AggPlan {
     std::vector<HashAggOperator::GroupKey> group_keys;
     std::vector<std::string> group_outputs;
@@ -187,6 +193,20 @@ class ParallelExecutor {
                             std::vector<std::string> scan_columns,
                             const PipelineFactory& factory, Table* sink,
                             const StageHints& hints);
+  /// The per-worker drain of RunPipelineImpl and BuildJoin. Each hinted
+  /// worker opens `factory`'s pipeline over a morsel scan of `table` and
+  /// pulls it dry, charging every live batch to `site` when accounting
+  /// and handing it to `fill(batch, slot)` with the slot of the morsel
+  /// it came from. A morsel is processed by exactly one worker, so
+  /// workers never write the same slot, and reading the slots in index
+  /// order makes the result independent of thread count and stealing.
+  /// Failures land on `ctx`.
+  template <typename Slot, typename Fill>
+  std::vector<Slot> DrainPerMorsel(
+      QueryContext* ctx, const Table* table,
+      const std::vector<std::string>& scan_columns,
+      const PipelineFactory& factory, const StageHints& hints,
+      const char* site, Fill fill);
   /// Hints resolved against the pool and static config: the worker
   /// count actually running this stage and the morsel size to split by.
   int ResolveWorkers(const StageHints& hints) const;

@@ -80,4 +80,9 @@ u64 MemoryBroker::refusals() const {
   return refusals_;
 }
 
+u64 MemoryBroker::waiting() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return next_ticket_ - serving_ - abandoned_.size();
+}
+
 }  // namespace ma::serve

@@ -58,6 +58,9 @@ class MemoryBroker {
   /// Leases granted / refused so far.
   u64 grants() const;
   u64 refusals() const;
+  /// Requests queued for a lease right now (ticket taken, not yet
+  /// granted or timed out).
+  u64 waiting() const;
 
  private:
   /// Advances serving_ past tickets that timed out mid-queue.

@@ -1,14 +1,9 @@
-// The 22 TPC-H queries as hand-built physical plans over the engine's
-// operators. Queries with scalar or correlated subqueries run multiple
-// stages internally (materializing intermediate tables), like a
-// query optimizer would decorrelate them. Each stage's primitives are
-// adaptive instances, so a full power run exercises Micro Adaptivity on
-// 300+ primitive instances (as in the paper's evaluation).
+// The 22 TPC-H queries: their count and display names. Each query is one
+// logical plan (tpch/plans.h, PlanForQuery) that runs through
+// plan::QuerySession, serially or staged; the evaluation workloads
+// (tpch/workload.h) drive them that way.
 #ifndef MA_TPCH_QUERIES_H_
 #define MA_TPCH_QUERIES_H_
-
-#include "exec/engine.h"
-#include "tpch/dbgen.h"
 
 namespace ma::tpch {
 
@@ -16,10 +11,6 @@ inline constexpr int kNumQueries = 22;
 
 /// Short description of query `q` (1-based).
 const char* QueryName(int q);
-
-/// Executes TPC-H query `q` (1..22) against `data` using `engine`.
-/// The engine accumulates primitive-instance profiles across stages.
-RunResult RunQuery(Engine* engine, const TpchData& data, int q);
 
 }  // namespace ma::tpch
 

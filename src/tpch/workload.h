@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "serve/workload_server.h"
+#include "tpch/dbgen.h"
 #include "tpch/queries.h"
 
 namespace ma::tpch {

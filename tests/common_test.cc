@@ -110,6 +110,16 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
   EXPECT_NE(s.ToString().find("InvalidArgument"), std::string::npos);
 }
 
+TEST(StatusTest, EveryCodeHasAName) {
+  for (int c = static_cast<int>(StatusCode::kOk);
+       c <= static_cast<int>(StatusCode::kUnavailable); ++c) {
+    const Status s(static_cast<StatusCode>(c), "msg");
+    EXPECT_EQ(s.ToString().find("Unknown"), std::string::npos)
+        << "code " << c << ": " << s.ToString();
+  }
+  EXPECT_EQ(Status::Unavailable("shed").ToString(), "Unavailable: shed");
+}
+
 TEST(StatusTest, ReturnIfErrorMacro) {
   auto inner = []() { return Status::NotFound("x"); };
   auto outer = [&]() -> Status {

@@ -24,6 +24,8 @@
 #include "exec/parallel/morsel_scan.h"
 #include "exec/parallel/parallel_executor.h"
 #include "exec/parallel/thread_pool.h"
+#include "plan/plan_builder.h"
+#include "plan/query_session.h"
 #include "common/rng.h"
 #include "table_fingerprint.h"
 #include "tpch/dbgen.h"
@@ -468,8 +470,9 @@ TEST(ParallelAggTest, ClusteredKeysWithStealingMatchSerialByteForByte) {
   // starts in run mode. With tiny morsels, stealing hands workers
   // morsels out of order (a thief takes from the back of a victim's
   // partition), and such a table falls back to hash mode mid-input;
-  // partial() completes the slots of one that did not. Either way the
-  // merge must reproduce the serial result byte for byte.
+  // merging into one that did not leaves run mode at the first smaller
+  // key. Either way the merge must reproduce the serial result byte for
+  // byte.
   tpch::TpchConfig cfg;
   cfg.scale_factor = 0.01;
   const auto data = tpch::Generate(cfg);
@@ -511,6 +514,172 @@ TEST(ParallelAggTest, ClusteredKeysWithStealingMatchSerialByteForByte) {
     ASSERT_TRUE(got.status.ok());
     EXPECT_EQ(ExactFingerprint(*got.table), ExactFingerprint(*ref.table))
         << "round " << round;
+  }
+}
+
+// ---------------------------------------------------------------------
+// HashAggOperator::Merge: the one merge step of staged aggregation.
+// ---------------------------------------------------------------------
+
+/// Input rows for the merge tests: key `k` drawn from [lo, hi) (ascending
+/// when `sorted`), a per-row string `tag` so first-seen group outputs
+/// are observable, an i64 measure `v` and an f64 measure `x`.
+struct AggRows {
+  std::vector<i64> k, v;
+  std::vector<std::string> tag;
+  std::vector<f64> x;
+};
+
+AggRows DrawAggRows(Rng* rng, i64 lo, i64 hi, size_t n, bool sorted) {
+  AggRows r;
+  for (size_t i = 0; i < n; ++i) {
+    r.k.push_back(lo + static_cast<i64>(rng->NextBounded(hi - lo)));
+  }
+  if (sorted) std::sort(r.k.begin(), r.k.end());
+  for (size_t i = 0; i < n; ++i) {
+    r.tag.push_back("r" + std::to_string(rng->NextBounded(1000)));
+    r.v.push_back(rng->NextRange(-500, 500));
+    r.x.push_back(static_cast<f64>(rng->NextRange(-10000, 10000)) / 7.0);
+  }
+  return r;
+}
+
+/// One table holding `parts`' rows in order.
+std::unique_ptr<Table> AggTable(const std::vector<const AggRows*>& parts) {
+  auto t = std::make_unique<Table>("t");
+  Column* k = t->AddColumn("k", PhysicalType::kI64);
+  Column* tag = t->AddColumn("tag", PhysicalType::kStr);
+  Column* v = t->AddColumn("v", PhysicalType::kI64);
+  Column* x = t->AddColumn("x", PhysicalType::kF64);
+  size_t rows = 0;
+  for (const AggRows* p : parts) {
+    for (size_t i = 0; i < p->k.size(); ++i) {
+      k->Append<i64>(p->k[i]);
+      tag->AppendString(p->tag[i]);
+      v->Append<i64>(p->v[i]);
+      x->Append<f64>(p->x[i]);
+    }
+    rows += p->k.size();
+  }
+  t->set_row_count(rows);
+  return t;
+}
+
+/// Every aggregate kind over the i64 and the f64 measure; f64 sums are
+/// exact, as plan compilation makes them.
+std::vector<HashAggOperator::AggSpec> EveryAggregate() {
+  std::vector<HashAggOperator::AggSpec> aggs;
+  aggs.push_back({"count", nullptr, "cnt"});
+  for (const std::string fn : {"sum", "min", "max", "avg"}) {
+    aggs.push_back({fn, Col("v"), fn + "_v", PhysicalType::kI64, true});
+    aggs.push_back({fn, Col("x"), fn + "_x", PhysicalType::kF64, true});
+  }
+  return aggs;
+}
+
+/// Emits every group of a drained (and possibly merged) operator.
+std::unique_ptr<Table> DrainAgg(HashAggOperator* op) {
+  auto t = std::make_unique<Table>("result");
+  Batch batch;
+  while (op->Next(&batch)) {
+    AppendBatchToTable(batch, t.get());
+    batch.Clear();
+  }
+  return t;
+}
+
+TEST(HashAggMergeTest, MergedEqualsOneOperatorOverConcatenatedInput) {
+  const std::vector<std::string> cols{"k", "tag", "v", "x"};
+  struct Case {
+    const char* name;
+    bool grouped;
+    bool other_sorted;  // other's keys arrive clustered
+    i64 other_lo;       // other's keys are [other_lo, other_lo + 60)
+    size_t groups;      // distinct keys of both inputs together
+  };
+  // The merge target always drains clustered keys [0, 60) and is still
+  // in run mode. Shuffled overlapping keys make the merge leave run
+  // mode; a clustered tail starting at the target's last run keeps it.
+  for (const Case& c : {Case{"shuffled overlap", true, false, 30, 90},
+                        Case{"clustered tail", true, true, 59, 119},
+                        Case{"global", false, false, 30, 1}}) {
+    Rng rng{7};
+    const AggRows a = DrawAggRows(&rng, 0, 60, 3000, true);
+    const AggRows b =
+        DrawAggRows(&rng, c.other_lo, c.other_lo + 60, 3000, c.other_sorted);
+    const auto ta = AggTable({&a});
+    const auto tb = AggTable({&b});
+    const auto tab = AggTable({&a, &b});
+    Engine engine{EngineConfig()};
+    auto make = [&](const Table* t) {
+      std::vector<HashAggOperator::GroupKey> keys;
+      std::vector<std::string> outputs;
+      if (c.grouped) {
+        keys = {{"k", 8}};
+        outputs = {"tag"};
+      }
+      auto op = std::make_unique<HashAggOperator>(
+          &engine, std::make_unique<ScanOperator>(&engine, t, cols), keys,
+          outputs, EveryAggregate());
+      op->set_emit_key_sorted(true);
+      return op;
+    };
+    auto ref = make(tab.get());
+    auto into = make(ta.get());
+    auto other = make(tb.get());
+    ASSERT_TRUE(ref->Open().ok());
+    ASSERT_TRUE(into->Open().ok());
+    ASSERT_TRUE(other->Open().ok());
+    EXPECT_EQ(into->in_run_mode(), c.grouped) << c.name;
+    into->Merge(*other);
+    EXPECT_EQ(into->in_run_mode(), c.grouped && c.other_sorted) << c.name;
+    EXPECT_EQ(into->num_groups(), ref->num_groups()) << c.name;
+    const auto want = DrainAgg(ref.get());
+    const auto got = DrainAgg(into.get());
+    EXPECT_EQ(got->row_count(), c.groups) << c.name;
+    EXPECT_EQ(ExactFingerprint(*got), ExactFingerprint(*want)) << c.name;
+  }
+}
+
+TEST(HashAggMergeTest, ZeroRowAggregationSameBytesSerialAndStaged) {
+  // A filter no row passes: no worker sees a row, so the staged result
+  // is worker 0's unmerged state. Grouped, that is no groups and no
+  // batch, and the session restores the declared columns as it does
+  // for the serial path; global, it is the one identity group.
+  Rng rng{11};
+  const AggRows rows = DrawAggRows(&rng, 0, 60, 5000, true);
+  const auto table = AggTable({&rows});
+  for (const bool grouped : {true, false}) {
+    std::vector<HashAggOperator::GroupKey> keys;
+    std::vector<std::string> outputs;
+    if (grouped) {
+      keys = {{"k", 8}};
+      outputs = {"k", "tag"};
+    }
+    plan::PlanBuilder b =
+        plan::PlanBuilder::Scan(table.get(), {"k", "tag", "v", "x"});
+    b.Filter(Lt(Col("v"), Lit(static_cast<i64>(-1000))), "zero/sel");
+    b.GroupBy(keys, outputs, EveryAggregate(), "zero/agg");
+    const plan::LogicalPlan p = b.Build();
+    ASSERT_TRUE(p.ok()) << p.status.message();
+
+    plan::QuerySession serial{plan::SessionConfig{}};
+    const RunResult ref = serial.Run(p, plan::ExecMode::kSerial);
+    ASSERT_TRUE(ref.ok()) << ref.status.ToString();
+    EXPECT_EQ(ref.table->row_count(), grouped ? 0u : 1u);
+    EXPECT_EQ(ref.table->num_columns(), outputs.size() + 9);
+    for (const int threads : {1, 2, 4}) {
+      plan::SessionConfig sc;
+      sc.parallel.num_threads = threads;
+      sc.parallel.morsel_size = 1024;
+      plan::QuerySession session{sc};
+      const RunResult got = session.Run(p, plan::ExecMode::kParallel);
+      ASSERT_TRUE(got.ok()) << got.status.ToString();
+      ASSERT_TRUE(session.last_run_parallel());
+      EXPECT_EQ(ExactFingerprint(*got.table), ExactFingerprint(*ref.table))
+          << (grouped ? "grouped" : "global") << " at " << threads
+          << " threads";
+    }
   }
 }
 

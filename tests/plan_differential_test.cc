@@ -1,6 +1,7 @@
 // Randomized differential testing of the two executors: a seeded
 // generator builds a few hundred small logical plans — filter / project
-// / hash-join / one- and two-key group-by / sort / limit pipelines over
+// / hash-join / global, one- and two-key group-by (sum, count, and
+// avg / min / max over i64 and f64) / sort / limit pipelines over
 // the dbgen tables, including HAVING-style filters and projections above
 // an aggregation and top-N sorts large enough for the parallel TopN
 // path, a quarter of them DAG-shaped (duplicated subtrees for the compiler's automatic CSE,
@@ -250,15 +251,15 @@ plan::LogicalPlan GrowRandomPlan(const TpchData& d, PlanBuilder b,
 
   bool grouped = false;
   if (!topn && rng->Chance(60)) {
-    // One key, or two: (l_orderkey, l_suppkey) keeps lineitem's order on
-    // the leading key, so the group table runs with several groups per
-    // run; (l_suppkey, l_orderkey) leads with an unordered key and falls
-    // back to hashing. One draw either way, so later draws keep their
-    // place in the sequence.
+    // One key, two, or none: (l_orderkey, l_suppkey) keeps lineitem's
+    // order on the leading key, so the group table runs with several
+    // groups per run; (l_suppkey, l_orderkey) leads with an unordered
+    // key and falls back to hashing; no key is a global aggregate. One
+    // draw either way, so later draws keep their place in the sequence.
     const HashAggOperator::GroupKey okey{"l_orderkey", 36};
     const HashAggOperator::GroupKey skey{"l_suppkey", 24};
     std::vector<HashAggOperator::GroupKey> keys;
-    switch (rng->Below(4)) {
+    switch (rng->Below(5)) {
       case 0:
         keys = {okey};
         break;
@@ -268,8 +269,10 @@ plan::LogicalPlan GrowRandomPlan(const TpchData& d, PlanBuilder b,
       case 2:
         keys = {okey, skey};
         break;
-      default:
+      case 3:
         keys = {skey, okey};
+        break;
+      default:
         break;
     }
     std::vector<std::string> key_names;
@@ -284,6 +287,18 @@ plan::LogicalPlan GrowRandomPlan(const TpchData& d, PlanBuilder b,
     cnt.fn = "count";
     cnt.out_name = "cnt";
     aggs.push_back(std::move(cnt));
+    // Each of avg, min and max half the time, over the f64 measure or
+    // the i64 l_suppkey: staged execution folds and emits them through
+    // the same merge as sum and count.
+    for (const std::string fn : {"avg", "min", "max"}) {
+      if (!rng->Chance(50)) continue;
+      const bool on_f64 = rng->Chance(50);
+      HashAggOperator::AggSpec extra;
+      extra.fn = fn;
+      extra.arg = Col(on_f64 ? measure : "l_suppkey");
+      extra.out_name = fn + (on_f64 ? "_f" : "_i");
+      aggs.push_back(std::move(extra));
+    }
     b.GroupBy(keys, key_names, std::move(aggs), "diff/agg");
     grouped = true;
     if (rng->Chance(30)) {

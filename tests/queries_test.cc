@@ -23,6 +23,14 @@
 namespace ma::tpch {
 namespace {
 
+/// Query `q` through a serial QuerySession with engine config `cfg`.
+RunResult RunSerial(const TpchData& data, int q, const EngineConfig& cfg) {
+  plan::SessionConfig sc;
+  sc.engine = cfg;
+  plan::QuerySession session{sc};
+  return session.Run(PlanForQuery(data, q), plan::ExecMode::kSerial);
+}
+
 class QueriesTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -36,8 +44,7 @@ class QueriesTest : public ::testing::Test {
   }
 
   static RunResult Run(int q, const EngineConfig& cfg) {
-    Engine engine(cfg);
-    return RunQuery(&engine, *data_, q);
+    return RunSerial(*data_, q, cfg);
   }
 
   static TpchData* data_;
@@ -369,12 +376,6 @@ TEST_F(StagedQueriesTest, Q14DegenerateWindowsAgreeOnEveryPath) {
     }
     const u64 ref_fp = ExactFingerprint(*ref.table);
 
-    Engine engine(DefaultConfig());
-    const RunResult direct = RunQuery(&engine, d, 14);
-    ASSERT_TRUE(direct.ok()) << c.name << ": " << direct.status.ToString();
-    EXPECT_EQ(ExactFingerprint(*direct.table), ref_fp)
-        << c.name << ": tpch::RunQuery";
-
     for (const int threads : {1, 2, 4}) {
       plan::SessionConfig sc;
       sc.parallel.num_threads = threads;
@@ -541,8 +542,7 @@ TEST_P(AllQueriesAllModesTest, ResultsIdenticalAcrossModes) {
            {"fission", ForcedConfig("fission")},
            {"heuristic", HeuristicConfig()},
            {"adaptive", AdaptiveConfig()}}) {
-    Engine engine(ecfg);
-    const RunResult r = RunQuery(&engine, *data, q);
+    const RunResult r = RunSerial(*data, q, ecfg);
     ASSERT_NE(r.table, nullptr) << name;
     const std::string fp = TableFingerprint(*r.table);
     if (reference.empty()) {

@@ -145,8 +145,21 @@ TEST(MemoryBrokerTest, SaturationTimesOut) {
 TEST(MemoryBrokerTest, FifoFairnessBigQueryNotStarved) {
   MemoryBroker broker(1000);
   ASSERT_TRUE(broker.Acquire(800).ok());
+  // Waits until `n` requests are queued on the broker.
+  auto wait_for_queue = [&broker](u64 n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (broker.waiting() < n &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return broker.waiting() == n;
+  };
   // A big request queues first, then a small one that WOULD fit right
-  // now. FIFO head-of-line: the small one must not overtake.
+  // now (800 + 200 <= 1000). FIFO head-of-line: the small one must not
+  // overtake. Once big holds its 900, small cannot fit beside it
+  // (900 + 200 > 1000), so small is granted only after big released:
+  // the grant order is deterministic.
   std::atomic<int> order{0};
   int big_got = -1, small_got = -1;
   std::thread big([&] {
@@ -154,18 +167,19 @@ TEST(MemoryBrokerTest, FifoFairnessBigQueryNotStarved) {
     big_got = order.fetch_add(1);
     broker.Release(900);
   });
-  // Give the big request time to take its ticket.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_TRUE(wait_for_queue(1));
   std::thread small([&] {
-    ASSERT_TRUE(broker.Acquire(100, std::chrono::seconds(5)).ok());
+    ASSERT_TRUE(broker.Acquire(200, std::chrono::seconds(5)).ok());
     small_got = order.fetch_add(1);
-    broker.Release(100);
+    broker.Release(200);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_TRUE(wait_for_queue(2));
   broker.Release(800);  // frees the pool; big must be served first
   big.join();
   small.join();
-  EXPECT_LT(big_got, small_got);
+  EXPECT_EQ(big_got, 0);
+  EXPECT_EQ(small_got, 1);
+  EXPECT_EQ(broker.waiting(), 0u);
   EXPECT_EQ(broker.leased_bytes(), 0u);
 }
 
