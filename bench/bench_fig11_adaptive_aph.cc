@@ -29,8 +29,8 @@ void Panel(const TpchData& data, const PanelSpec& spec) {
     session.Run(PlanForQuery(data, spec.query), plan::ExecMode::kSerial);
     for (const auto& inst : session.engine()->instances()) {
       if (inst->label().find(spec.needle) != std::string::npos &&
-          inst->aph() != nullptr && inst->calls() > 0) {
-        series.emplace(name, *inst->aph());
+          inst->calls() > 0) {
+        series.emplace(name, inst->aph());
         return;
       }
     }

@@ -26,8 +26,8 @@ void Panel(const TpchData& data, int q, const std::string& needle,
     session.Run(PlanForQuery(data, q), plan::ExecMode::kSerial);
     for (const auto& inst : session.engine()->instances()) {
       if (inst->label().find(needle) != std::string::npos &&
-          inst->aph() != nullptr && inst->calls() > 0) {
-        series.emplace(flavor, *inst->aph());
+          inst->calls() > 0) {
+        series.emplace(flavor, inst->aph());
         break;
       }
     }

@@ -13,6 +13,9 @@
 
 namespace ma {
 
+/// Buckets of every primitive instance's APH: the paper's 512.
+inline constexpr size_t kAphBuckets = 512;
+
 class Aph {
  public:
   struct Bucket {
@@ -26,7 +29,7 @@ class Aph {
     }
   };
 
-  explicit Aph(size_t max_buckets = 512);
+  explicit Aph(size_t max_buckets = kAphBuckets);
 
   /// Records one primitive call.
   void Add(u64 tuples, u64 cycles);

@@ -54,7 +54,6 @@ PrimitiveInstance::PrimitiveInstance(const FlavorEntry* entry,
       fixed_index_ = 0;
       break;
   }
-  if (config.keep_aph) aph_ = std::make_unique<Aph>(config.aph_buckets);
   usage_.resize(flavors_.size());
 }
 
@@ -154,7 +153,7 @@ void PrimitiveInstance::Record(int flavor, size_t produced, u64 tuples,
   usage_[flavor].tuples += tuples;
   usage_[flavor].cycles += cycles;
   usage_[flavor].timed_tuples += tuples;
-  if (aph_) aph_->Add(tuples, cycles);
+  aph_.Add(tuples, cycles);
   last_produced_ = produced;
   last_live_ = tuples;
 }

@@ -61,8 +61,6 @@ struct AdaptiveConfig {
   PolicyParams params;
   /// Which flavor sets are eligible (default flavors always are).
   u32 enabled_sets = kAllFlavorSets;
-  bool keep_aph = true;
-  size_t aph_buckets = 512;
   /// Chunked exploitation (kAdaptive only): after a timed decision call
   /// whose policy reports a settled exploitation phase, re-run the same
   /// flavor untimed for K-1 calls before consulting the policy again.
@@ -162,7 +160,7 @@ class PrimitiveInstance {
                ? 0.0
                : static_cast<f64>(cycles_) / timed_tuples_;
   }
-  const Aph* aph() const { return aph_.get(); }
+  const Aph& aph() const { return aph_; }
   /// Per-eligible-flavor cumulative (calls, tuples, cycles).
   struct FlavorUsage {
     u64 calls = 0;
@@ -233,7 +231,7 @@ class PrimitiveInstance {
   u64 tuples_ = 0;
   u64 cycles_ = 0;
   u64 timed_tuples_ = 0;
-  std::unique_ptr<Aph> aph_;
+  Aph aph_;
   std::vector<FlavorUsage> usage_;
 };
 

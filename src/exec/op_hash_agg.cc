@@ -39,13 +39,9 @@ Status HashAggOperator::Open() {
     table_.FindOrInsert(0);  // the single global group
   }
   aggs_.clear();
-  for (AggSpec& spec : agg_specs_) {
+  for (const AggSpec& spec : agg_specs_) {
     AggState st;
-    st.spec.fn = spec.fn;
-    st.spec.arg = spec.arg ? spec.arg->Clone() : nullptr;
-    st.spec.out_name = spec.out_name;
-    st.spec.type_hint = spec.type_hint;
-    st.spec.exact_f64_sum = spec.exact_f64_sum;
+    st.spec = spec.Clone();
     aggs_.push_back(std::move(st));
   }
   key_scratch_.resize(kMaxVectorSize, 0);
@@ -84,26 +80,28 @@ Status HashAggOperator::Open() {
   return Status::OK();
 }
 
-void HashAggOperator::ResizeAccumulators() {
+void HashAggOperator::ResizeAccumulator(AggState* st) const {
   const u32 groups = table_.num_groups();
-  for (AggState& st : aggs_) {
-    const bool is_min = st.spec.fn == "min";
-    const bool is_max = st.spec.fn == "max";
-    if (st.exact()) {
-      st.acc_fx.resize(groups, 0);
-    } else if (st.is_float()) {
-      const f64 init =
-          is_min ? std::numeric_limits<f64>::infinity()
-                 : (is_max ? -std::numeric_limits<f64>::infinity() : 0.0);
-      st.acc_f.resize(groups, init);
-    } else {
-      const i64 init =
-          is_min ? std::numeric_limits<i64>::max()
-                 : (is_max ? std::numeric_limits<i64>::min() : 0);
-      st.acc_i.resize(groups, init);
-    }
-    if (st.spec.fn == "avg") st.count.resize(groups, 0);
+  const bool is_min = st->spec.fn == "min";
+  const bool is_max = st->spec.fn == "max";
+  if (st->exact()) {
+    st->acc_fx.resize(groups, 0);
+  } else if (st->is_float()) {
+    const f64 init =
+        is_min ? std::numeric_limits<f64>::infinity()
+               : (is_max ? -std::numeric_limits<f64>::infinity() : 0.0);
+    st->acc_f.resize(groups, init);
+  } else {
+    const i64 init =
+        is_min ? std::numeric_limits<i64>::max()
+               : (is_max ? std::numeric_limits<i64>::min() : 0);
+    st->acc_i.resize(groups, init);
   }
+  if (st->spec.fn == "avg") st->count.resize(groups, 0);
+}
+
+void HashAggOperator::ResizeAccumulators() {
+  for (AggState& st : aggs_) ResizeAccumulator(&st);
 }
 
 Status HashAggOperator::ChargeAggMemory(QueryContext* ctx) {
@@ -200,8 +198,9 @@ void HashAggOperator::ConsumeBatch(Batch& batch) {
     }
   }
 
-  // (3) Aggregate updates.
-  ResizeAccumulators();
+  // (3) Aggregate updates. Each accumulator is sized after its
+  // aggregate's argument type is bound (on its first batch), so it only
+  // ever allocates the accumulator of that type.
   for (AggState& st : aggs_) {
     const void* values = key_scratch_.data();  // dummy for count(*)
     PhysicalType vt = PhysicalType::kI64;
@@ -225,10 +224,9 @@ void HashAggOperator::ConsumeBatch(Batch& batch) {
             AggrSignature("count", PhysicalType::kI64),
             label_ + "/aggr_count_" + st.spec.out_name);
       }
-      // Re-resize with the now-known accumulator type.
-      ResizeAccumulators();
     }
     MA_CHECK(st.arg_type == vt);
+    ResizeAccumulator(&st);
     PrimCall c;
     c.n = n;
     c.in1 = values;

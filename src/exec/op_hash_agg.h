@@ -126,6 +126,9 @@ class HashAggOperator : public Operator {
   };
 
   void ConsumeBatch(Batch& batch);
+  /// Grows `st`'s accumulators (typed by its bound argument type) to
+  /// the current group count; ResizeAccumulators does so for all.
+  void ResizeAccumulator(AggState* st) const;
   void ResizeAccumulators();
   /// Fills emit_order_ when groups must come out key-sorted and the
   /// gids are not already in key order.

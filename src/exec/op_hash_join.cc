@@ -5,25 +5,80 @@
 
 namespace ma {
 
-namespace {
-
-/// The one chokepoint for the left-outer/bloom exclusion: missed probe
-/// rows must be *emitted*, never bloom-discarded, so a left outer join
-/// simply has no bloom filter.
-HashJoinSpec Normalize(HashJoinSpec spec) {
-  if (spec.kind == HashJoinSpec::Kind::kLeftOuter) spec.use_bloom = false;
-  return spec;
+void SharedJoinBuild::AppendBatch(const Batch& batch,
+                                  const HashJoinSpec& spec) {
+  const int key_idx = batch.FindColumn(spec.build_key);
+  MA_CHECK(key_idx >= 0);
+  const i64* k = batch.column(key_idx).Data<i64>();
+  if (batch.has_sel()) {
+    ht.Append(k, 0, batch.sel().data(), batch.sel().size());
+  } else {
+    ht.Append(k, batch.row_count(), nullptr, 0);
+  }
+  if (cols.empty()) {
+    for (const auto& [src, out_name] : spec.build_outputs) {
+      const int idx = batch.FindColumn(src);
+      MA_CHECK(idx >= 0);
+      cols.push_back(std::make_unique<Column>(batch.column(idx).type()));
+    }
+  }
+  for (size_t i = 0; i < spec.build_outputs.size(); ++i) {
+    const int idx = batch.FindColumn(spec.build_outputs[i].first);
+    AppendLive(batch.column(idx), batch, cols[i].get());
+  }
 }
 
-}  // namespace
+void SharedJoinBuild::AppendPart(const SharedJoinBuild& part) {
+  ht.Append(part.ht.view().keys, part.ht.num_rows(), nullptr, 0);
+  if (cols.empty()) {
+    for (const auto& col : part.cols) {
+      cols.push_back(std::make_unique<Column>(col->type()));
+    }
+  }
+  for (size_t i = 0; i < part.cols.size(); ++i) {
+    AppendColumnRows(*part.cols[i], cols[i].get());
+  }
+}
+
+Status SharedJoinBuild::Finish(const HashJoinSpec& spec, bool use_bloom) {
+  const bool outer = spec.kind == HashJoinSpec::Kind::kLeftOuter;
+  if (cols.size() != spec.build_outputs.size()) {
+    // Nothing was drained; instantiate the declared types so the output
+    // schema survives an empty build side.
+    MA_CHECK(cols.empty());
+    if (spec.build_output_types.size() == spec.build_outputs.size()) {
+      for (const PhysicalType t : spec.build_output_types) {
+        cols.push_back(std::make_unique<Column>(t));
+      }
+    } else if (outer) {
+      return Status::InvalidArgument(
+          "left outer hash join over an empty build side needs "
+          "build_output_types");
+    }
+  }
+  ht.Finalize();
+  if (outer) {
+    // The miss payload: one default row (zero / empty string) after the
+    // real build rows; missed probe rows fetch it like any match.
+    for (auto& col : cols) AppendDefault(col.get());
+  } else if (use_bloom) {
+    // A pull-model build has no rough pre-pass, so the filter is sized
+    // after the drain and filled from the table's keys.
+    bloom = std::make_unique<BloomFilter>(
+        BloomFilter::ForKeys(ht.num_rows() + 1));
+    const JoinHashTable::View v = ht.view();
+    for (size_t i = 0; i < ht.num_rows(); ++i) bloom->Insert(v.keys[i]);
+  }
+  return Status::OK();
+}
 
 HashJoinOperator::HashJoinOperator(Engine* engine, OperatorPtr build,
                                    OperatorPtr probe, HashJoinSpec spec,
                                    std::string label)
     : Operator(engine),
-      build_(std::move(build)),
+      build_input_(std::move(build)),
       probe_(std::move(probe)),
-      spec_(Normalize(std::move(spec))),
+      spec_(std::move(spec)),
       label_(std::move(label)) {}
 
 HashJoinOperator::HashJoinOperator(Engine* engine,
@@ -32,109 +87,47 @@ HashJoinOperator::HashJoinOperator(Engine* engine,
                                    std::string label)
     : Operator(engine),
       probe_(std::move(probe)),
-      spec_(Normalize(std::move(spec))),
+      spec_(std::move(spec)),
       label_(std::move(label)),
-      shared_(shared) {
-  MA_CHECK(shared_ != nullptr && shared_->ht.finalized());
-  MA_CHECK(shared_->cols.size() == spec_.build_outputs.size());
-}
-
-void HashJoinOperator::DrainBuildBatch(
-    const Batch& batch, const HashJoinSpec& spec, std::vector<i64>* keys,
-    std::vector<std::unique_ptr<Column>>* cols) {
-  const int key_idx = batch.FindColumn(spec.build_key);
-  MA_CHECK(key_idx >= 0);
-  const i64* k = batch.column(key_idx).Data<i64>();
-  if (batch.has_sel()) {
-    const SelVector& sel = batch.sel();
-    for (size_t j = 0; j < sel.size(); ++j) keys->push_back(k[sel[j]]);
-  } else {
-    keys->insert(keys->end(), k, k + batch.row_count());
-  }
-  if (cols->empty()) {
-    for (const auto& [src, out_name] : spec.build_outputs) {
-      const int idx = batch.FindColumn(src);
-      MA_CHECK(idx >= 0);
-      cols->push_back(std::make_unique<Column>(batch.column(idx).type()));
-    }
-  }
-  for (size_t i = 0; i < spec.build_outputs.size(); ++i) {
-    const int idx = batch.FindColumn(spec.build_outputs[i].first);
-    AppendLive(batch.column(idx), batch, (*cols)[i].get());
-  }
+      build_(shared) {
+  MA_CHECK(build_ != nullptr && build_->ht.finalized());
 }
 
 Status HashJoinOperator::Open() {
-  if (shared_ == nullptr) {
-    MA_RETURN_IF_ERROR(build_->Open());
+  if (build_input_ != nullptr) {
+    MA_RETURN_IF_ERROR(build_input_->Open());
   }
   MA_RETURN_IF_ERROR(probe_->Open());
 
-  if (shared_ == nullptr) {
-    // Drain the build side: compact live keys + output columns.
-    // A rough pre-pass is impossible (pull model), so the bloom filter
-    // is sized after the build drain and filled from the table's keys.
-    build_cols_.clear();
+  if (build_input_ != nullptr) {
     Batch batch;
-    std::vector<i64> dense_keys;
-    u64 materialized = 0;
     QueryContext* ctx = engine_->context();
     const bool charged = ctx->accounting_enabled();
     for (;;) {
       if (ctx->ShouldStop()) return ctx->status();
       batch.Clear();
-      if (!build_->Next(&batch)) break;
+      if (!build_input_->Next(&batch)) break;
       if (batch.live_count() == 0) continue;
-      // Per batch: dense_keys stays one batch deep, the hash table
-      // grows incrementally (no second full copy of the key column).
-      dense_keys.clear();
-      DrainBuildBatch(batch, spec_, &dense_keys, &build_cols_);
       if (charged) {
-        // Resident build state grows by the key+row slots plus the
-        // materialized output columns for this batch.
+        // Resident build state grows by the key, chain and directory
+        // slots plus the materialized output columns for this batch.
         MA_RETURN_IF_ERROR(ctx->ReserveMemory(
             "alloc/build",
-            dense_keys.size() * 16 + ApproxBatchBytes(batch)));
+            batch.live_count() * 16 + ApproxBatchBytes(batch)));
       }
-      ht_.Append(dense_keys.data(), dense_keys.size(), nullptr, 0,
-                 materialized);
-      materialized += dense_keys.size();
+      own_build_.AppendBatch(batch, spec_);
     }
-    ht_.Finalize();
-
-    if (spec_.kind == HashJoinSpec::Kind::kLeftOuter) {
-      // The miss payload: one default row (zero / empty string) after
-      // the real build rows; missed probe rows fetch it like any match.
-      if (build_cols_.size() != spec_.build_outputs.size()) {
-        // Nothing was drained (empty build side); instantiate the
-        // declared types so the output schema survives.
-        MA_CHECK(build_cols_.empty());
-        MA_CHECK(spec_.build_output_types.size() ==
-                 spec_.build_outputs.size());
-        for (const PhysicalType t : spec_.build_output_types) {
-          build_cols_.push_back(std::make_unique<Column>(t));
-        }
-      }
-      for (auto& col : build_cols_) AppendDefault(col.get());
-    }
-
-    if (spec_.use_bloom) {
-      bloom_ = std::make_unique<BloomFilter>(
-          BloomFilter::ForKeys(ht_.num_rows() + 1));
-      const JoinHashTable::View v = ht_.view();
-      for (size_t i = 0; i < ht_.num_rows(); ++i) {
-        bloom_->Insert(v.keys[i]);
-      }
-    }
+    MA_RETURN_IF_ERROR(own_build_.Finish(spec_, spec_.use_bloom));
+    build_ = &own_build_;
   }
 
-  if (bloom_filter() != nullptr && spec_.use_bloom) {
+  if (build_->bloom != nullptr) {
     bloom_tmp_.resize(kMaxVectorSize);
-    bloom_state_.filter = bloom_filter();
+    bloom_state_.filter = build_->bloom.get();
     bloom_state_.tmp = bloom_tmp_.data();
     bloom_inst_ = engine_->NewInstance("sel_bloomfilter_i64_col",
                                        label_ + "/bloom",
-                                       bloom_filter()->size_bytes());
+                                       build_->bloom->size_bytes());
   }
 
   switch (spec_.kind) {
@@ -188,18 +181,7 @@ bool HashJoinOperator::NextSemiAnti(Batch* out) {
     // Anti joins cannot use the bloom filter to discard (false positives
     // would wrongly drop rows); semi joins can.
     if (bloom_inst_ != nullptr && spec_.kind == HashJoinSpec::Kind::kSemi) {
-      PrimCall c;
-      c.n = out->row_count();
-      SelVector& sel = out->mutable_sel();
-      c.res_sel = sel.data();
-      c.in1 = out->column(key_idx).raw_data();
-      c.state = &bloom_state_;
-      if (out->has_sel()) {
-        c.sel = sel.data();
-        c.sel_n = sel.size();
-      }
-      sel.set_size(bloom_inst_->Call(c));
-      out->set_sel_active(true);
+      ApplyBloom(out, key_idx);
       if (out->live_count() == 0) continue;
     }
 
@@ -208,7 +190,7 @@ bool HashJoinOperator::NextSemiAnti(Batch* out) {
     SelVector& sel = out->mutable_sel();
     c.res_sel = sel.data();
     c.in1 = out->column(key_idx).raw_data();
-    c.state = const_cast<JoinHashTable*>(&ht());
+    c.state = const_cast<JoinHashTable*>(&build_->ht);
     if (out->has_sel()) {
       c.sel = sel.data();
       c.sel_n = sel.size();
@@ -228,22 +210,11 @@ bool HashJoinOperator::NextInner(Batch* out) {
       const int key_idx = probe_batch_.FindColumn(spec_.probe_key);
       MA_CHECK(key_idx >= 0);
       if (bloom_inst_ != nullptr) {
-        PrimCall c;
-        c.n = probe_batch_.row_count();
-        SelVector& sel = probe_batch_.mutable_sel();
-        c.res_sel = sel.data();
-        c.in1 = probe_batch_.column(key_idx).raw_data();
-        c.state = &bloom_state_;
-        if (probe_batch_.has_sel()) {
-          c.sel = sel.data();
-          c.sel_n = sel.size();
-        }
-        sel.set_size(bloom_inst_->Call(c));
-        probe_batch_.set_sel_active(true);
+        ApplyBloom(&probe_batch_, key_idx);
         if (probe_batch_.live_count() == 0) continue;
       }
       probe_state_ = ProbeState{};
-      probe_state_.table = &ht();
+      probe_state_.table = &build_->ht;
       probe_state_.cursor = ProbeCursor{0, JoinHashTable::kNil, false};
       probe_batch_valid_ = true;
     }
@@ -274,6 +245,21 @@ bool HashJoinOperator::NextInner(Batch* out) {
   }
 }
 
+void HashJoinOperator::ApplyBloom(Batch* batch, int key_idx) {
+  PrimCall c;
+  c.n = batch->row_count();
+  SelVector& sel = batch->mutable_sel();
+  c.res_sel = sel.data();
+  c.in1 = batch->column(key_idx).raw_data();
+  c.state = &bloom_state_;
+  if (batch->has_sel()) {
+    c.sel = sel.data();
+    c.sel_n = sel.size();
+  }
+  sel.set_size(bloom_inst_->Call(c));
+  batch->set_sel_active(true);
+}
+
 void HashJoinOperator::EmitGathered(Batch* out, const u64* probe_pos,
                                     const u64* build_row, size_t n) {
   out->Clear();
@@ -301,7 +287,7 @@ void HashJoinOperator::EmitGathered(Batch* out, const u64* probe_pos,
     out->AddColumn(spec_.probe_outputs[p], dst);
   }
   for (size_t b = 0; b < spec_.build_outputs.size(); ++b) {
-    const Column* src = build_col(b);
+    const Column* src = build_->cols[b].get();
     if (fetch_build_[b] == nullptr) {
       fetch_build_[b] = engine_->NewInstance(
           FetchSignature(src->type()),
@@ -340,7 +326,7 @@ bool HashJoinOperator::NextLeftOuter(Batch* out) {
       // (a bounded-cursor variant is a ROADMAP item; the plan-layer
       // uses are unique-key builds, fan-out 1).
       probe_state_ = ProbeState{};
-      probe_state_.table = &ht();
+      probe_state_.table = &build_->ht;
       probe_state_.cursor = ProbeCursor{0, JoinHashTable::kNil, false};
       outer_pos_.clear();
       outer_row_.clear();
@@ -370,7 +356,7 @@ bool HashJoinOperator::NextLeftOuter(Batch* out) {
       // row (the extra row appended after the real build rows).
       outer_emit_pos_.clear();
       outer_emit_row_.clear();
-      const u64 miss_row = ht().num_rows();
+      const u64 miss_row = build_->ht.num_rows();
       size_t m = 0;
       auto take = [&](sel_t p) {
         if (m < outer_pos_.size() && outer_pos_[m] == p) {

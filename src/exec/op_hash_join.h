@@ -1,6 +1,7 @@
 // HashJoin: vectorized hash join over i64 keys. The build child is
-// drained at Open() into compacted column storage plus a chaining hash
-// table (and optionally a bloom filter); probe batches then flow through
+// drained at Open() into a SharedJoinBuild — compacted column storage, a
+// chaining hash table and optionally a bloom filter — the same build a
+// staged plan fills in parallel; probe batches then flow through
 // (optional) sel_bloomfilter -> ht_probe -> map_fetch primitives, all of
 // them adaptive primitive instances.
 //
@@ -25,21 +26,6 @@
 
 namespace ma {
 
-/// Build-side state shared by per-thread probe pipelines in morsel-
-/// driven parallel joins. A parallel executor fills it during the build
-/// phase (workers scan build morsels into per-morsel buffers which are
-/// concatenated in morsel order, so build row ids are deterministic);
-/// once finalized it is immutable, and any number of HashJoinOperators
-/// can probe it concurrently without synchronization. Per-probe scratch
-/// (bloom temporaries, cursors, output vectors) stays in the operators.
-struct SharedJoinBuild {
-  JoinHashTable ht;
-  /// Materialized build output columns, parallel to
-  /// HashJoinSpec::build_outputs.
-  std::vector<std::unique_ptr<Column>> cols;
-  std::unique_ptr<BloomFilter> bloom;  // null when the join skips bloom
-};
-
 struct HashJoinSpec {
   enum class Kind : u8 { kInner, kSemi, kAnti, kLeftOuter };
 
@@ -54,14 +40,44 @@ struct HashJoinSpec {
   Kind kind = Kind::kInner;
   /// Pre-filter probe keys with a bloom filter over the build keys —
   /// pays off when most probe keys miss (paper §2 Loop Fission).
-  /// Ignored for left outer joins: missed probe rows must be emitted,
-  /// not discarded.
+  /// Ignored for left outer joins (SharedJoinBuild::Finish).
   bool use_bloom = false;
   /// Declared types of build_outputs, parallel to it (optional). Filled
-  /// by the plan compiler so a left outer join over an *empty* build
-  /// side can still type its output columns and the default payload
-  /// row; hand-built trees may leave it empty.
+  /// by the plan compiler; SharedJoinBuild::Finish types the columns of
+  /// an *empty* build side from them, so a left outer join over it still
+  /// has a default payload row. Hand-built trees may leave it empty,
+  /// except for a left outer join whose build side may be empty.
   std::vector<PhysicalType> build_output_types;
+};
+
+/// The build side of a hash join: its key table, build output columns
+/// and bloom filter. The serial operator fills a private one from its
+/// build child; a staged plan fills one per build morsel and
+/// concatenates them in morsel order, so either way a build row's id is
+/// its position in serial drain order. Once finished it is immutable,
+/// and any number of HashJoinOperators can probe it concurrently without
+/// synchronization. Per-probe scratch (bloom temporaries, cursors,
+/// output vectors) stays in the operators.
+struct SharedJoinBuild {
+  JoinHashTable ht;
+  /// Materialized build output columns, parallel to
+  /// HashJoinSpec::build_outputs. Created by the first appended batch,
+  /// or by Finish() from the declared types; an empty build without
+  /// declared types has none.
+  std::vector<std::unique_ptr<Column>> cols;
+  std::unique_ptr<BloomFilter> bloom;  // null when the join skips bloom
+
+  /// Appends one build-side batch: its live keys and build outputs.
+  void AppendBatch(const Batch& batch, const HashJoinSpec& spec);
+  /// Appends the rows of another unfinished build after this one's.
+  void AppendPart(const SharedJoinBuild& part);
+  /// Seals the build: types the columns an empty build never created
+  /// from spec.build_output_types, finalizes the table, appends a left
+  /// outer join's default row and, when `use_bloom`, fills the bloom
+  /// filter — never for left outer, whose missed probe rows must be
+  /// emitted, not discarded. Rejects a left outer join over an empty
+  /// build without declared types: its default row has no types.
+  Status Finish(const HashJoinSpec& spec, bool use_bloom);
 };
 
 class HashJoinOperator : public Operator {
@@ -80,47 +96,31 @@ class HashJoinOperator : public Operator {
   Status Open() override;
   bool Next(Batch* out) override;
 
-  size_t build_rows() const { return ht().num_rows(); }
-
-  /// Consumes one build-side batch: appends its live keys densely to
-  /// `keys` and its build-output columns to `cols` (created on first
-  /// use) — the build-drain body shared by the serial Open() drain and
-  /// ParallelExecutor::BuildJoin's per-morsel workers.
-  static void DrainBuildBatch(const Batch& batch, const HashJoinSpec& spec,
-                              std::vector<i64>* keys,
-                              std::vector<std::unique_ptr<Column>>* cols);
+  /// Build rows after Open().
+  size_t build_rows() const { return build_->ht.num_rows(); }
 
  private:
   bool NextInner(Batch* out);
   bool NextSemiAnti(Batch* out);
   bool NextLeftOuter(Batch* out);
+  /// Narrows `batch`'s selection to the rows whose probe key (column
+  /// `key_idx`) may be in the bloom filter.
+  void ApplyBloom(Batch* batch, int key_idx);
   /// Gathers `n` output rows: probe columns at probe-batch positions
   /// `probe_pos`, build columns at build rows `build_row` — the
   /// materialization shared by the inner and left-outer paths.
   void EmitGathered(Batch* out, const u64* probe_pos, const u64* build_row,
                     size_t n);
 
-  const JoinHashTable& ht() const {
-    return shared_ != nullptr ? shared_->ht : ht_;
-  }
-  const Column* build_col(size_t i) const {
-    return shared_ != nullptr ? shared_->cols[i].get()
-                              : build_cols_[i].get();
-  }
-  const BloomFilter* bloom_filter() const {
-    return shared_ != nullptr ? shared_->bloom.get() : bloom_.get();
-  }
-
-  OperatorPtr build_;
+  OperatorPtr build_input_;  // null when probing a shared build
   OperatorPtr probe_;
   HashJoinSpec spec_;
   std::string label_;
 
-  // Build-side state (unused when probing a shared build).
-  const SharedJoinBuild* shared_ = nullptr;
-  JoinHashTable ht_;
-  std::vector<std::unique_ptr<Column>> build_cols_;  // parallel to spec
-  std::unique_ptr<BloomFilter> bloom_;
+  /// The build probed: `own_build_` once Open() drained `build_input_`,
+  /// or the shared one.
+  const SharedJoinBuild* build_ = nullptr;
+  SharedJoinBuild own_build_;
   // Per-operator bloom scratch (thread-local even over a shared filter).
   std::vector<u8> bloom_tmp_;
   BloomProbeState bloom_state_;
@@ -139,7 +139,6 @@ class HashJoinOperator : public Operator {
   std::vector<sel_t> match_pos_;
   std::vector<u64> match_row_;
   std::vector<u64> match_pos64_;
-  std::vector<i64> key_scratch_;
   /// Left-outer state for the current probe batch: the drained match
   /// stream, then the merged emission lists (probe position, build row —
   /// the default row for misses) consumed in vector-sized chunks.

@@ -5,7 +5,6 @@
 
 #include "common/cycleclock.h"
 #include "exec/append.h"
-#include "prim/bloom.h"
 
 namespace ma {
 namespace {
@@ -198,80 +197,28 @@ std::unique_ptr<SharedJoinBuild> ParallelExecutor::BuildJoin(
   QueryContext* ctx = ResetEngines();
   ctx->MaybeInjectFault("parallel/build");
 
-  struct BuildPartial {
-    std::vector<i64> keys;
-    std::vector<std::unique_ptr<Column>> cols;
-  };
-  const std::vector<BuildPartial> partials = DrainPerMorsel<BuildPartial>(
-      ctx, build_table, scan_columns, factory, hints, "alloc/build",
-      [&spec](const Batch& batch, BuildPartial* part) {
-        HashJoinOperator::DrainBuildBatch(batch, spec, &part->keys,
-                                          &part->cols);
-      });
+  const std::vector<SharedJoinBuild> parts =
+      DrainPerMorsel<SharedJoinBuild>(
+          ctx, build_table, scan_columns, factory, hints, "alloc/build",
+          [&spec](const Batch& batch, SharedJoinBuild* part) {
+            part->AppendBatch(batch, spec);
+          });
   // A failed build is useless (and possibly partial): report through
   // the context and hand the caller nothing to probe.
   if (!ctx->status().ok()) return nullptr;
 
-  // Concatenate partials in morsel order: build row ids come out
+  // Concatenate the parts in morsel order: build row ids come out
   // exactly as a single-threaded drain would produce them.
   auto shared = std::make_unique<SharedJoinBuild>();
-  for (size_t i = 0; i < spec.build_outputs.size(); ++i) {
-    PhysicalType type = PhysicalType::kI64;
-    bool found = false;
-    // Declared types (plan-compiled joins) beat inference; they keep an
-    // empty build side typed the same as a populated one.
-    if (i < spec.build_output_types.size()) {
-      type = spec.build_output_types[i];
-      found = true;
-    }
-    for (const BuildPartial& part : partials) {
-      if (found) break;
-      if (i < part.cols.size()) {
-        type = part.cols[i]->type();
-        found = true;
-      }
-    }
-    if (!found) {
-      // Nothing survived the build-side filter; fall back to the source
-      // column's type where it names a stored column.
-      const Column* src =
-          build_table->FindColumn(spec.build_outputs[i].first);
-      if (src != nullptr) type = src->type();
-    }
-    shared->cols.push_back(std::make_unique<Column>(type));
-  }
-  u64 row0 = 0;
-  for (const BuildPartial& part : partials) {
-    if (!part.keys.empty()) {
-      shared->ht.Append(part.keys.data(), part.keys.size(), nullptr, 0,
-                        row0);
-      row0 += part.keys.size();
-    }
-    for (size_t i = 0; i < part.cols.size(); ++i) {
-      AppendColumnRows(*part.cols[i], shared->cols[i].get());
-    }
-  }
-  shared->ht.Finalize();
-  if (spec.kind == HashJoinSpec::Kind::kLeftOuter) {
-    // The miss-payload default row, exactly as the serial drain appends
-    // it (deterministic build row ids include the default row's id).
-    for (auto& col : shared->cols) AppendDefault(col.get());
-  }
-
-  // Left outer never blooms (missed probe rows must be emitted, not
-  // discarded); this entry point takes the spec by const ref, so the
-  // exclusion HashJoinOperator::Normalize applies lives here too. A
-  // macro-adaptivity hint overrides the spec's static choice — bloom
-  // only discards probe rows that would miss anyway, so both arms
+  for (const SharedJoinBuild& part : parts) shared->AppendPart(part);
+  // A macro-adaptivity hint overrides the spec's static bloom choice —
+  // bloom only discards probe rows that would miss anyway, so both arms
   // produce identical join output.
-  const bool bloom_on = hints.bloom >= 0 ? hints.bloom != 0 : spec.use_bloom;
-  if (bloom_on && spec.kind != HashJoinSpec::Kind::kLeftOuter) {
-    shared->bloom = std::make_unique<BloomFilter>(
-        BloomFilter::ForKeys(shared->ht.num_rows() + 1));
-    const JoinHashTable::View v = shared->ht.view();
-    for (size_t i = 0; i < shared->ht.num_rows(); ++i) {
-      shared->bloom->Insert(v.keys[i]);
-    }
+  Status finish = shared->Finish(
+      spec, hints.bloom >= 0 ? hints.bloom != 0 : spec.use_bloom);
+  if (!finish.ok()) {
+    ctx->Fail(std::move(finish));
+    return nullptr;
   }
   return shared;
 }

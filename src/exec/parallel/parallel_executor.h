@@ -114,13 +114,14 @@ class ParallelExecutor {
                             const StageHints& hints = StageHints());
 
   /// Parallel hash-join build: drains per-worker build pipelines over a
-  /// morsel scan of `build_table` into per-morsel buffers, concatenates
-  /// them in morsel order into the shared table (deterministic row
-  /// ids), finalizes, and — when `spec.use_bloom` — fills the shared
-  /// bloom filter. Probe pipelines then mount the result via
+  /// morsel scan of `build_table` into one SharedJoinBuild per morsel,
+  /// appends them in morsel order (deterministic row ids) and finishes
+  /// the result, with a bloom filter when `hints.bloom` — else
+  /// `spec.use_bloom` — asks for one. Probe pipelines then mount it via
   /// HashJoinOperator's shared-build constructor. Returns null when the
   /// query context failed mid-build (cancellation, deadline, budget,
-  /// worker error) — the caller reads context()->status().
+  /// worker error) or the build was rejected — the caller reads
+  /// context()->status().
   std::unique_ptr<SharedJoinBuild> BuildJoin(
       const Table* build_table, std::vector<std::string> scan_columns,
       const PipelineFactory& factory, const HashJoinSpec& spec,

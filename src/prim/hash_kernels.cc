@@ -87,7 +87,7 @@ size_t Probe(const PrimCall& c) {
           return emitted;
         }
         st->out_probe_pos[emitted] = i;
-        st->out_build_row[emitted] = v.rows[e];
+        st->out_build_row[emitted] = e;
         ++emitted;
       }
     }

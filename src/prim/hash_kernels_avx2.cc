@@ -133,7 +133,7 @@ size_t ProbeAvx2(const PrimCall& c) {
           return false;
         }
         st->out_probe_pos[emitted] = i;
-        st->out_build_row[emitted] = v.rows[cur];
+        st->out_build_row[emitted] = cur;
         ++emitted;
       }
     }

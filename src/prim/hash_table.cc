@@ -101,19 +101,12 @@ void GroupTable::Clear() {
 }
 
 void JoinHashTable::Append(const i64* keys, size_t n, const sel_t* sel,
-                           size_t sel_n, u64 row0) {
+                           size_t sel_n) {
   MA_CHECK(!finalized_);
   if (sel != nullptr) {
-    for (size_t j = 0; j < sel_n; ++j) {
-      const sel_t i = sel[j];
-      keys_.push_back(keys[i]);
-      rows_.push_back(row0 + i);
-    }
+    for (size_t j = 0; j < sel_n; ++j) keys_.push_back(keys[sel[j]]);
   } else {
-    for (size_t i = 0; i < n; ++i) {
-      keys_.push_back(keys[i]);
-      rows_.push_back(row0 + i);
-    }
+    keys_.insert(keys_.end(), keys, keys + n);
   }
 }
 
@@ -137,7 +130,7 @@ std::vector<u64> JoinHashTable::Lookup(i64 key) const {
   std::vector<u64> out;
   u32 e = heads_[HashKey(key) & mask_];
   while (e != kNil) {
-    if (keys_[e] == key) out.push_back(rows_[e]);
+    if (keys_[e] == key) out.push_back(e);
     e = next_[e];
   }
   return out;

@@ -122,20 +122,16 @@ class GroupTable {
 };
 
 /// JoinHashTable: chaining hash table for hash joins. Build phase appends
-/// (key, payload-row) pairs; Finalize() links the chains; the probe
-/// kernels walk chains per probe key, supporting duplicate build keys.
+/// keys; a build row's id is its position in append order. Finalize()
+/// links the chains; the probe kernels walk chains per probe key,
+/// supporting duplicate build keys.
 class JoinHashTable {
  public:
   JoinHashTable() = default;
 
-  void Reserve(size_t rows) {
-    keys_.reserve(rows);
-  }
-
-  /// Appends build rows. `row0` is the table-global row index of the
-  /// first appended key.
-  void Append(const i64* keys, size_t n, const sel_t* sel, size_t sel_n,
-              u64 row0);
+  /// Appends build keys: `keys[0, n)`, or `keys[sel[j]]` for j < sel_n
+  /// when `sel` is set.
+  void Append(const i64* keys, size_t n, const sel_t* sel, size_t sel_n);
 
   /// Builds the bucket directory. Must be called before probing.
   void Finalize();
@@ -145,17 +141,16 @@ class JoinHashTable {
 
   static constexpr u32 kNil = std::numeric_limits<u32>::max();
 
-  // Probe-side view, consumed by the probe kernels.
+  // Probe-side view, consumed by the probe kernels. A chain entry is the
+  // build row id of the key it holds.
   struct View {
     const u32* heads;
     const u32* next;
     const i64* keys;
-    const u64* rows;  // build-table global row ids, indexed like keys
     u64 mask;
   };
   View view() const {
-    return View{heads_.data(), next_.data(), keys_.data(), rows_.data(),
-                mask_};
+    return View{heads_.data(), next_.data(), keys_.data(), mask_};
   }
 
   /// Scalar probe for tests: returns build rows matching `key`.
@@ -163,7 +158,6 @@ class JoinHashTable {
 
  private:
   std::vector<i64> keys_;
-  std::vector<u64> rows_;
   std::vector<u32> next_;
   std::vector<u32> heads_;
   u64 mask_ = 0;

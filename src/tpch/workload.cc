@@ -57,7 +57,7 @@ void HarvestProfiles(const Engine& engine,
     p.calls = inst->calls();
     p.tuples = inst->tuples();
     p.cycles = inst->cycles();
-    if (inst->aph() != nullptr) p.aph = *inst->aph();
+    p.aph = inst->aph();
     out->push_back(std::move(p));
   }
 }

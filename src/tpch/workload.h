@@ -26,7 +26,7 @@ struct InstanceProfile {
   u64 calls = 0;
   u64 tuples = 0;
   u64 cycles = 0;
-  Aph aph{512};
+  Aph aph;
 };
 
 /// One full power run (22 queries) under one engine configuration.

@@ -142,7 +142,7 @@ TEST(AphTest, ChunkedDispatchSamplesOneCallPerChunk) {
   }
   EXPECT_EQ(inst.calls(), 200u);
   EXPECT_EQ(inst.tuples(), 200u * 100);
-  EXPECT_EQ(inst.aph()->total_calls(), 200u / 8);
+  EXPECT_EQ(inst.aph().total_calls(), 200u / 8);
 }
 
 }  // namespace

@@ -231,7 +231,7 @@ TEST(PrimitiveInstanceTest, AdaptiveCallsProduceCorrectResultsAndStats) {
   EXPECT_EQ(inst.calls(), 300u);
   EXPECT_EQ(inst.tuples(), 300000u);
   EXPECT_GT(inst.cycles(), 0u);
-  EXPECT_EQ(inst.aph()->total_calls(), 300u);
+  EXPECT_EQ(inst.aph().total_calls(), 300u);
   u64 usage_calls = 0;
   for (const auto& u : inst.usage()) usage_calls += u.calls;
   EXPECT_EQ(usage_calls, 300u);
@@ -344,9 +344,8 @@ TEST(PrimitiveInstanceTest, ChunkedDispatchStillConvergesToBestFlavor) {
   EXPECT_GT(inst.usage()[fast].calls, static_cast<u64>(kCalls) * 8 / 10);
   // Chunked mode times only decision calls: far fewer APH samples than
   // calls, but more than zero.
-  ASSERT_NE(inst.aph(), nullptr);
-  EXPECT_GT(inst.aph()->total_calls(), 0u);
-  EXPECT_LT(inst.aph()->total_calls(), static_cast<u64>(kCalls) / 4);
+  EXPECT_GT(inst.aph().total_calls(), 0u);
+  EXPECT_LT(inst.aph().total_calls(), static_cast<u64>(kCalls) / 4);
 }
 
 TEST(PrimitiveInstanceTest, ChunkSizeOneMatchesClassicBehavior) {
@@ -359,7 +358,7 @@ TEST(PrimitiveInstanceTest, ChunkSizeOneMatchesClassicBehavior) {
   c.n = 100;
   for (int i = 0; i < 50; ++i) inst.Call(c);
   // Every call is a timed decision call.
-  EXPECT_EQ(inst.aph()->total_calls(), 50u);
+  EXPECT_EQ(inst.aph().total_calls(), 50u);
 }
 
 TEST(PrimitiveInstanceTest, ChunkedDispatchKeepsExploringAfterConvergence) {
@@ -399,7 +398,7 @@ TEST(PrimitiveInstanceTest, AdaptiveChunkGrowsWhileWinnerIsStable) {
   // Decision calls: 4 doubling steps (after calls 1, 3, 7, 15), then one
   // per 16 calls. Far fewer timed samples than the 200 calls made.
   EXPECT_EQ(inst.calls(), 200u);
-  const u64 timed = inst.aph()->total_calls();
+  const u64 timed = inst.aph().total_calls();
   EXPECT_GE(timed, 10u);
   EXPECT_LE(timed, 20u);
 }

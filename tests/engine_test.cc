@@ -83,7 +83,7 @@ TEST(EngineTest, AdaptiveUsesMultipleFlavorsOnPhasedData) {
   EXPECT_GT(inst.usage()[0].calls, 0u);
   EXPECT_GT(inst.usage()[1].calls, 0u);
   // APH recorded the whole history.
-  EXPECT_EQ(inst.aph()->total_calls(), inst.calls());
+  EXPECT_EQ(inst.aph().total_calls(), inst.calls());
 }
 
 TEST(EngineTest, VectorSizeConfigurable) {

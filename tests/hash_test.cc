@@ -256,19 +256,23 @@ TEST(GroupTableRunModeTest, ScalarFindOrInsertHonorsRunMode) {
   }
 }
 
+// A build row's id is its position in append order, across appends.
 TEST(JoinHashTableTest, UniqueKeyLookup) {
   JoinHashTable t;
   std::vector<i64> keys{10, 20, 30};
-  t.Append(keys.data(), keys.size(), nullptr, 0, 100);
+  std::vector<i64> more{40};
+  t.Append(keys.data(), keys.size(), nullptr, 0);
+  t.Append(more.data(), more.size(), nullptr, 0);
   t.Finalize();
-  EXPECT_EQ(t.Lookup(20), (std::vector<u64>{101}));
+  EXPECT_EQ(t.Lookup(20), (std::vector<u64>{1}));
+  EXPECT_EQ(t.Lookup(40), (std::vector<u64>{3}));
   EXPECT_TRUE(t.Lookup(99).empty());
 }
 
 TEST(JoinHashTableTest, DuplicateKeys) {
   JoinHashTable t;
   std::vector<i64> keys{5, 5, 6, 5};
-  t.Append(keys.data(), keys.size(), nullptr, 0, 0);
+  t.Append(keys.data(), keys.size(), nullptr, 0);
   t.Finalize();
   auto rows = t.Lookup(5);
   std::sort(rows.begin(), rows.end());
@@ -279,18 +283,18 @@ TEST(JoinHashTableTest, AppendWithSelection) {
   JoinHashTable t;
   std::vector<i64> keys{1, 2, 3, 4};
   std::vector<sel_t> sel{1, 3};
-  t.Append(keys.data(), keys.size(), sel.data(), sel.size(), 50);
+  t.Append(keys.data(), keys.size(), sel.data(), sel.size());
   t.Finalize();
   EXPECT_EQ(t.num_rows(), 2u);
-  EXPECT_EQ(t.Lookup(2), (std::vector<u64>{51}));
-  EXPECT_EQ(t.Lookup(4), (std::vector<u64>{53}));
+  EXPECT_EQ(t.Lookup(2), (std::vector<u64>{0}));
+  EXPECT_EQ(t.Lookup(4), (std::vector<u64>{1}));
   EXPECT_TRUE(t.Lookup(1).empty());
 }
 
 TEST(ProbeKernelTest, EmitsAllMatches) {
   JoinHashTable t;
   std::vector<i64> build{1, 2, 2, 3};
-  t.Append(build.data(), build.size(), nullptr, 0, 0);
+  t.Append(build.data(), build.size(), nullptr, 0);
   t.Finalize();
 
   std::vector<i64> probe{2, 9, 3};
@@ -321,7 +325,7 @@ TEST(ProbeKernelTest, EmitsAllMatches) {
 TEST(ProbeKernelTest, ResumesWhenOutputFull) {
   JoinHashTable t;
   std::vector<i64> build(10, 42);  // 10 duplicates of one key
-  t.Append(build.data(), build.size(), nullptr, 0, 0);
+  t.Append(build.data(), build.size(), nullptr, 0);
   t.Finalize();
 
   std::vector<i64> probe{42, 42};
@@ -354,7 +358,7 @@ TEST(ProbeKernelTest, ResumesWhenOutputFull) {
 TEST(ProbeKernelTest, SelectionVectorRestrictsProbes) {
   JoinHashTable t;
   std::vector<i64> build{1, 2, 3};
-  t.Append(build.data(), build.size(), nullptr, 0, 0);
+  t.Append(build.data(), build.size(), nullptr, 0);
   t.Finalize();
   std::vector<i64> probe{1, 2, 3};
   std::vector<sel_t> sel{1};  // only probe position 1
@@ -431,7 +435,7 @@ TEST(SemiAntiJoinKernelTest, SimdParity) {
     for (int i = 0; i < 500; ++i) {
       build.push_back(static_cast<i64>(rng.NextBounded(2000)));
     }
-    ht.Append(build.data(), build.size(), nullptr, 0, 0);
+    ht.Append(build.data(), build.size(), nullptr, 0);
     ht.Finalize();
 
     for (const size_t n : {1u, 3u, 4u, 5u, 9u, 100u, 1000u}) {
@@ -482,7 +486,7 @@ TEST(ProbeKernelTest, SimdParityIncludingResume) {
     // Narrow key domain: plenty of duplicate build keys -> long chains.
     build.push_back(static_cast<i64>(rng.NextBounded(150)));
   }
-  ht.Append(build.data(), build.size(), nullptr, 0, 0);
+  ht.Append(build.data(), build.size(), nullptr, 0);
   ht.Finalize();
 
   auto drain = [&](PrimFn fn, const std::vector<i64>& probe,

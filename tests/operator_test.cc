@@ -374,6 +374,37 @@ TEST_P(AllModesTest, MergeJoin) {
   }
 }
 
+// An aggregate's accumulators are sized only once its argument type is
+// bound, so an f64 sum charges the group table and its f64 accumulator —
+// no i64 accumulator sized while the type still read as the default.
+TEST(HashAggOperatorTest, F64SumChargesOnlyLiveState) {
+  constexpr size_t kRows = 600;
+  constexpr size_t kGroups = 200;
+  auto table = std::make_unique<Table>("t");
+  Column* g = table->AddColumn("g", PhysicalType::kI64);
+  Column* x = table->AddColumn("x", PhysicalType::kF64);
+  for (size_t i = 0; i < kRows; ++i) {
+    g->Append<i64>(static_cast<i64>(i % kGroups));
+    x->Append<f64>(0.25 * static_cast<f64>(i));
+  }
+  table->set_row_count(kRows);
+
+  QueryContext ctx;
+  ctx.SetMemoryBudget(u64{1} << 30);
+  Engine engine{EngineConfig()};
+  engine.set_context(&ctx);
+  std::vector<HashAggOperator::AggSpec> aggs;
+  aggs.push_back({"sum", Col("x"), "sx"});
+  HashAggOperator agg(
+      &engine,
+      std::make_unique<ScanOperator>(&engine, table.get(),
+                                     std::vector<std::string>{"g", "x"}),
+      {{"g", 16}}, {}, std::move(aggs));
+  ASSERT_TRUE(agg.Open().ok());
+  // 16 bytes per group of table slots plus one f64 accumulator each.
+  EXPECT_EQ(ctx.memory_reserved(), kGroups * (16 + sizeof(f64)));
+}
+
 TEST(SortOperatorTest, OrdersAndLimits) {
   auto table = MakeNumbersTable(5000);
   Engine engine;

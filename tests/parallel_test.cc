@@ -283,6 +283,117 @@ TEST(ParallelJoinTest, SemiJoinMatchesSingleThread) {
   EXPECT_EQ(ExactFingerprint(*got.table), ExactFingerprint(*ref.table));
 }
 
+/// Runs the probe side of `t` against `build` on `exec`'s workers.
+RunResult ProbeShared(ParallelExecutor* exec, const JoinTables& t,
+                      const SharedJoinBuild* build, const HashJoinSpec& spec) {
+  return exec->RunPipeline(
+      t.probe.get(), {"k", "pv"},
+      [build, spec](Engine* engine, OperatorPtr scan) -> OperatorPtr {
+        return std::make_unique<HashJoinOperator>(
+            engine, build, std::move(scan), spec, "p/join");
+      });
+}
+
+// A left outer join whose build side keeps no rows: the serial and the
+// staged build both type their columns from the declared types and
+// append the same default row, so every probe row emits once with a
+// zero payload. Left outer never blooms, whatever the spec or hint.
+TEST(ParallelJoinTest, LeftOuterOverEmptyBuildMatchesSerial) {
+  const JoinTables t = MakeJoinTables(2000, 8 * 1024);
+  HashJoinSpec spec = InnerSpec();
+  spec.kind = HashJoinSpec::Kind::kLeftOuter;
+  spec.use_bloom = true;
+  spec.build_output_types = {PhysicalType::kI64};
+  const auto keep_none = [](Engine* engine, OperatorPtr scan) -> OperatorPtr {
+    return std::make_unique<SelectOperator>(engine, std::move(scan),
+                                            Lt(Col("k"), Lit(0)), "bsel");
+  };
+
+  Engine engine{EngineConfig()};
+  HashJoinOperator ref_join(
+      &engine,
+      keep_none(&engine,
+                std::make_unique<ScanOperator>(&engine, t.build.get())),
+      std::make_unique<ScanOperator>(&engine, t.probe.get()), spec,
+      "s/outer");
+  const RunResult ref = engine.Run(ref_join);
+  ASSERT_TRUE(ref.status.ok()) << ref.status.message();
+  EXPECT_EQ(ref_join.build_rows(), 0u);
+  EXPECT_EQ(ref.rows_emitted, t.probe->row_count());
+
+  StageHints bloom_on;
+  bloom_on.bloom = 1;
+  ParallelConfig pcfg;
+  pcfg.morsel_size = 1024;
+  for (const int threads : {1, 3}) {
+    pcfg.num_threads = threads;
+    ParallelExecutor exec{EngineConfig(), pcfg};
+    auto shared = exec.BuildJoin(t.build.get(), {"k", "bv"}, keep_none,
+                                 spec, bloom_on);
+    ASSERT_NE(shared, nullptr) << exec.context()->status().message();
+    EXPECT_EQ(shared->ht.num_rows(), 0u);
+    EXPECT_EQ(shared->bloom, nullptr);
+    const RunResult got = ProbeShared(&exec, t, shared.get(), spec);
+    EXPECT_EQ(ExactFingerprint(*got.table), ExactFingerprint(*ref.table))
+        << threads << " threads";
+  }
+
+  // Without declared types the default row has no types: both paths
+  // reject the join with a typed status.
+  spec.build_output_types.clear();
+  HashJoinOperator untyped(
+      &engine,
+      keep_none(&engine,
+                std::make_unique<ScanOperator>(&engine, t.build.get())),
+      std::make_unique<ScanOperator>(&engine, t.probe.get()), spec,
+      "s/untyped");
+  EXPECT_EQ(engine.Run(untyped).status.code(), StatusCode::kInvalidArgument);
+  ParallelExecutor exec{EngineConfig(), pcfg};
+  EXPECT_EQ(exec.BuildJoin(t.build.get(), {"k", "bv"}, keep_none, spec),
+            nullptr);
+  EXPECT_EQ(exec.context()->status().code(), StatusCode::kInvalidArgument);
+}
+
+// The bloom hint only decides whether the staged build fills a filter;
+// the probe uses it exactly when it exists, and both arms give the
+// serial operator's bytes.
+TEST(ParallelJoinTest, BloomHintOnAndOffMatchSerial) {
+  const JoinTables t = MakeJoinTables(3000, 16 * 1024);
+  HashJoinSpec spec = InnerSpec();
+  spec.use_bloom = true;
+
+  Engine engine{EngineConfig()};
+  HashJoinOperator ref_join(
+      &engine, std::make_unique<ScanOperator>(&engine, t.build.get()),
+      std::make_unique<ScanOperator>(&engine, t.probe.get()), spec,
+      "s/join");
+  const RunResult ref = engine.Run(ref_join);
+  ASSERT_TRUE(ref.status.ok());
+
+  ParallelConfig pcfg;
+  pcfg.num_threads = 3;
+  pcfg.morsel_size = 2048;
+  for (const int bloom : {0, 1}) {
+    ParallelExecutor exec{EngineConfig(), pcfg};
+    StageHints hints;
+    hints.bloom = bloom;
+    auto shared = exec.BuildJoin(
+        t.build.get(), {"k", "bv"},
+        [](Engine*, OperatorPtr scan) { return scan; }, spec, hints);
+    ASSERT_NE(shared, nullptr);
+    EXPECT_EQ(shared->bloom != nullptr, bloom == 1);
+    EXPECT_EQ(shared->ht.num_rows(), ref_join.build_rows());
+    const RunResult got = ProbeShared(&exec, t, shared.get(), spec);
+    EXPECT_EQ(ExactFingerprint(*got.table), ExactFingerprint(*ref.table))
+        << "bloom " << bloom;
+    bool probed_bloom = false;
+    for (const InstanceProfile& p : exec.MergedProfile()) {
+      probed_bloom |= p.label == "p/join/bloom";
+    }
+    EXPECT_EQ(probed_bloom, bloom == 1);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Parallel aggregation: thread-local pre-aggregation + merge.
 // ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Randomized differential testing of the two executors: a seeded
 // generator builds a few hundred small logical plans — filter / project
-// / hash-join / global, one- and two-key group-by (sum, count, and
+// / hash-join (inner, semi, anti, left outer) / global, one- and two-key group-by (sum, count, and
 // avg / min / max over i64 and f64) / sort / limit pipelines over
 // the dbgen tables, including HAVING-style filters and projections above
 // an aggregation and top-N sorts large enough for the parallel TopN
@@ -174,7 +174,8 @@ enum class Shape {
 };
 
 /// Grows a random plan on top of the spine: optional value projection,
-/// optional orders / supplier joins (inner, semi or anti), optional
+/// optional orders / supplier joins (inner, semi, anti or left outer,
+/// whose build side sometimes keeps no rows), optional
 /// aggregation with an optional HAVING-style filter and projection
 /// above it, optional (top-N) sort, optional key-less limit. Tracks
 /// which f64 measure is still in scope so every step references a live
@@ -213,14 +214,20 @@ plan::LogicalPlan GrowRandomPlan(const TpchData& d, PlanBuilder b,
     HashJoinSpec spec;
     spec.build_key = "o_orderkey";
     spec.probe_key = "l_orderkey";
-    const u64 kind = rng->Below(force_joins ? 1 : 3);
-    if (kind == 0) {
-      spec.kind = HashJoinSpec::Kind::kInner;
+    const u64 kind = rng->Below(force_joins ? 1 : 4);
+    if (kind == 0 || kind == 3) {
+      spec.kind = kind == 0 ? HashJoinSpec::Kind::kInner
+                            : HashJoinSpec::Kind::kLeftOuter;
       spec.build_outputs = {{"o_totalprice", "o_totalprice"}};
       spec.probe_outputs = current_names();
     } else {
       spec.kind = kind == 1 ? HashJoinSpec::Kind::kSemi
                             : HashJoinSpec::Kind::kAnti;
+    }
+    if (kind == 3 && rng->Chance(30)) {
+      // A build side that keeps no rows: every probe row takes the
+      // default row, typed from the declared build output types.
+      orders.Filter(Lt(Col("o_totalprice"), Lit(-1e18)));
     }
     spec.use_bloom = rng->Chance(50) && kEnableBloom;
     b.HashJoin(std::move(orders), std::move(spec), "diff/orders");
@@ -236,14 +243,20 @@ plan::LogicalPlan GrowRandomPlan(const TpchData& d, PlanBuilder b,
     HashJoinSpec spec;
     spec.build_key = "s_suppkey";
     spec.probe_key = "l_suppkey";
-    const u64 kind = rng->Below(force_joins ? 1 : 3);
-    if (kind == 0) {
-      spec.kind = HashJoinSpec::Kind::kInner;
+    const u64 kind = rng->Below(force_joins ? 1 : 4);
+    if (kind == 0 || kind == 3) {
+      spec.kind = kind == 0 ? HashJoinSpec::Kind::kInner
+                            : HashJoinSpec::Kind::kLeftOuter;
       spec.build_outputs = {{"s_acctbal", "s_acctbal"}};
       spec.probe_outputs = current_names();
     } else {
       spec.kind = kind == 1 ? HashJoinSpec::Kind::kSemi
                             : HashJoinSpec::Kind::kAnti;
+    }
+    if (kind == 3 && rng->Chance(30)) {
+      // A build side that keeps no rows: every probe row takes the
+      // default row, typed from the declared build output types.
+      supp.Filter(Lt(Col("s_acctbal"), Lit(-1e18)));
     }
     spec.use_bloom = rng->Chance(50) && kEnableBloom;
     b.HashJoin(std::move(supp), std::move(spec), "diff/supplier");
