@@ -18,9 +18,9 @@
 //
 // 3. Staged queries: TPC-H Q10, whose per-customer aggregation feeds
 //    the joins above it, and Q13, whose per-customer order counts feed
-//    a LEFT OUTER join build. The stage-DAG compiler materializes the
-//    aggs into IntermediateTables and runs the join pipelines over
-//    them morsel-parallel — this section tracks that staging preserves
+//    a LEFT OUTER join build. The stage-DAG compiler keeps each agg's
+//    output table and runs the join pipelines over them
+//    morsel-parallel — this section tracks that staging preserves
 //    both the speedup and the bit-exact identity.
 //
 // 4. Governance overhead: Q1/Q6 governed (live QueryContext — far
@@ -838,8 +838,8 @@ int Run() {
   bench::PrintHeader(
       "Staged queries: TPC-H Q10 (agg above join) + Q13 (left outer "
       "over an agg build), serial vs 1/2/4/N threads",
-      "Q10's per-customer revenue aggregation materializes into an "
-      "IntermediateTable that the customer/nation join pipeline above "
+      "Q10's per-customer revenue aggregation materializes into a "
+      "stage output table that the customer/nation join pipeline above "
       "re-scans morsel-parallel — a multi-stage DAG, not a single "
       "fragmented pipeline. Q13 builds its per-customer order counts "
       "the same way and probes them with a LEFT OUTER join (miss rows "

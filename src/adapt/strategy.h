@@ -193,7 +193,7 @@ struct StageHints {
   /// Rows per morsel; 0 = ParallelConfig::morsel_size.
   u64 morsel_size = 0;
   /// Bloom filter on the join build: -1 = follow the spec, 0 = force
-  /// off, 1 = force on (left-outer joins never bloom regardless).
+  /// off, 1 = force on (only where HashJoinSpec::BloomApplies()).
   int bloom = -1;
 };
 
@@ -219,7 +219,7 @@ class StageStrategies {
                   size_t num_stages, int pool_threads, u64 morsel_size);
 
   /// Hints for stage `stage`; `bloom_site` marks a join build the
-  /// static path would bloom (not left-outer).
+  /// static path would bloom (HashJoinSpec::BloomApplies()).
   StageHints Decide(int stage, bool bloom_site);
 
   /// Records a finished stage: `rows` input tuples in `cycles` wall

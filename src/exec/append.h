@@ -66,7 +66,8 @@ void AppendVectorCell(const Vector& src, size_t row, Column* dst);
 /// Approximate bytes needed to materialize the live rows of `batch`:
 /// fixed-width columns at TypeWidth, string columns at StrRef plus
 /// payload length. QueryContext memory accounting charges this when a
-/// batch is copied into an IntermediateTable or result table.
+/// batch is copied into a stage's or the query's result table, or into
+/// a join build.
 u64 ApproxBatchBytes(const Batch& batch);
 
 }  // namespace ma

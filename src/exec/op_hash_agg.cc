@@ -310,8 +310,7 @@ void HashAggOperator::Merge(const HashAggOperator& other) {
 void HashAggOperator::PlanEmitOrder() {
   emit_order_.clear();
   const std::vector<i64>& keys = table_.keys_by_gid();
-  if (!emit_key_sorted_ || group_keys_.empty() ||
-      std::is_sorted(keys.begin(), keys.end())) {
+  if (group_keys_.empty() || std::is_sorted(keys.begin(), keys.end())) {
     return;
   }
   emit_order_.resize(keys.size());

@@ -7,13 +7,16 @@
 // Group-by key columns must be i64 (dictionary codes, dates, ids) and
 // declare a bit width; widths must sum to <= 63 so packing is exact.
 // With no group keys the operator computes global aggregates (group 0).
+// Groups are emitted in ascending packed-key order, so a result's row
+// order depends only on its groups, not on the input order or on how
+// partial aggregations were merged.
 //
 // Open() arms the group table's run mode (see GroupTable) on the first
 // group key: while that key does not decrease from row to row — lineitem
 // arrives in l_orderkey order — the table holds only the current run's
-// groups instead of all of them, and key-sorted emission sorts only
-// inside each run. The first decrease turns it into a plain hash table
-// for the rest of the input. Gids, accumulator updates and emission
+// groups instead of all of them, and emission sorts only inside each
+// run. The first decrease turns it into a plain hash table for the rest
+// of the input. Gids, accumulator updates and emission
 // order are the same in both modes, so the bytes are too.
 //
 // Merge() folds another operator's drained groups into this one. The
@@ -85,14 +88,6 @@ class HashAggOperator : public Operator {
   /// so the group table is still in run mode.
   bool in_run_mode() const { return table_.in_run_mode(); }
 
-  /// Emit groups in ascending packed-key order instead of first-seen
-  /// order. The plan compiler sets this on serially-compiled GroupBy
-  /// nodes, and the parallel executor on its merged pre-aggregation, so
-  /// a plan's result row order is the same on both paths even without a
-  /// Sort above the aggregation. The order is computed by the first
-  /// Next(), so it covers merged groups too; call before that.
-  void set_emit_key_sorted(bool sorted) { emit_key_sorted_ = sorted; }
-
   /// True once Open() consumed a live row. An operator that saw none
   /// typed its accumulators from the specs' type_hint and holds only
   /// identity values (no groups, or the one global group).
@@ -130,8 +125,8 @@ class HashAggOperator : public Operator {
   /// the current group count; ResizeAccumulators does so for all.
   void ResizeAccumulator(AggState* st) const;
   void ResizeAccumulators();
-  /// Fills emit_order_ when groups must come out key-sorted and the
-  /// gids are not already in key order.
+  /// Fills emit_order_ when the gids are not already in key order.
+  /// Runs at the first Next(), so it covers merged groups too.
   void PlanEmitOrder();
   /// Charges the growth of the aggregation state (group table +
   /// accumulators + group-output columns) since the last charge against
@@ -159,9 +154,8 @@ class HashAggOperator : public Operator {
   u64 charged_bytes_ = 0;
   bool input_done_ = false;
   bool saw_rows_ = false;
-  bool emit_key_sorted_ = false;
-  /// Emission order (gid per output row) when emit_key_sorted_; empty
-  /// means first-seen order (the contiguous fast path).
+  /// Emission order (gid per output row); empty when the gids are
+  /// already in key order (the contiguous fast path).
   std::vector<u32> emit_order_;
 };
 

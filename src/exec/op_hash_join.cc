@@ -61,7 +61,8 @@ Status SharedJoinBuild::Finish(const HashJoinSpec& spec, bool use_bloom) {
     // The miss payload: one default row (zero / empty string) after the
     // real build rows; missed probe rows fetch it like any match.
     for (auto& col : cols) AppendDefault(col.get());
-  } else if (use_bloom) {
+  }
+  if (use_bloom && spec.BloomApplies()) {
     // A pull-model build has no rough pre-pass, so the filter is sized
     // after the drain and filled from the table's keys.
     bloom = std::make_unique<BloomFilter>(
@@ -113,7 +114,8 @@ Status HashJoinOperator::Open() {
         // slots plus the materialized output columns for this batch.
         MA_RETURN_IF_ERROR(ctx->ReserveMemory(
             "alloc/build",
-            batch.live_count() * 16 + ApproxBatchBytes(batch)));
+            batch.live_count() * kJoinBuildBytesPerRow +
+                ApproxBatchBytes(batch)));
       }
       own_build_.AppendBatch(batch, spec_);
     }
@@ -178,9 +180,7 @@ bool HashJoinOperator::NextSemiAnti(Batch* out) {
     const int key_idx = out->FindColumn(spec_.probe_key);
     MA_CHECK(key_idx >= 0);
 
-    // Anti joins cannot use the bloom filter to discard (false positives
-    // would wrongly drop rows); semi joins can.
-    if (bloom_inst_ != nullptr && spec_.kind == HashJoinSpec::Kind::kSemi) {
+    if (bloom_inst_ != nullptr) {
       ApplyBloom(out, key_idx);
       if (out->live_count() == 0) continue;
     }

@@ -40,7 +40,7 @@ struct HashJoinSpec {
   Kind kind = Kind::kInner;
   /// Pre-filter probe keys with a bloom filter over the build keys —
   /// pays off when most probe keys miss (paper §2 Loop Fission).
-  /// Ignored for left outer joins (SharedJoinBuild::Finish).
+  /// Honoured only where BloomApplies().
   bool use_bloom = false;
   /// Declared types of build_outputs, parallel to it (optional). Filled
   /// by the plan compiler; SharedJoinBuild::Finish types the columns of
@@ -48,7 +48,20 @@ struct HashJoinSpec {
   /// has a default payload row. Hand-built trees may leave it empty,
   /// except for a left outer join whose build side may be empty.
   std::vector<PhysicalType> build_output_types;
+
+  /// True when a bloom filter can discard probe rows of this join: it
+  /// asks for one, and it is an inner or semi join. A left outer join
+  /// must emit its missed probe rows, and an anti join keeps exactly
+  /// them, so neither may discard a miss. The build, the probe and the
+  /// staged bloom strategy site all follow this one rule.
+  bool BloomApplies() const {
+    return use_bloom && (kind == Kind::kInner || kind == Kind::kSemi);
+  }
 };
+
+/// Resident bytes a hash-join build charges per build row on top of its
+/// output columns: the key, chain and directory slots.
+inline constexpr u64 kJoinBuildBytesPerRow = 16;
 
 /// The build side of a hash join: its key table, build output columns
 /// and bloom filter. The serial operator fills a private one from its
@@ -73,10 +86,11 @@ struct SharedJoinBuild {
   void AppendPart(const SharedJoinBuild& part);
   /// Seals the build: types the columns an empty build never created
   /// from spec.build_output_types, finalizes the table, appends a left
-  /// outer join's default row and, when `use_bloom`, fills the bloom
-  /// filter — never for left outer, whose missed probe rows must be
-  /// emitted, not discarded. Rejects a left outer join over an empty
-  /// build without declared types: its default row has no types.
+  /// outer join's default row and, when `use_bloom` and
+  /// spec.BloomApplies(), fills the bloom filter. `use_bloom` is
+  /// spec.use_bloom unless a strategy hint overrides it. Rejects a left
+  /// outer join over an empty build without declared types: its default
+  /// row has no types.
   Status Finish(const HashJoinSpec& spec, bool use_bloom);
 };
 

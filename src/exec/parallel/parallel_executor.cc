@@ -96,33 +96,12 @@ std::vector<InstanceProfile> ParallelExecutor::MergedProfile() const {
   return MergeInstanceProfiles(instances);
 }
 
-RunResult ParallelExecutor::RunPipeline(
-    const Table* table, std::vector<std::string> scan_columns,
-    const PipelineFactory& factory, const StageHints& hints) {
-  auto sink = std::make_unique<Table>("result");
-  RunResult result = RunPipelineImpl(table, std::move(scan_columns), factory,
-                                     sink.get(), hints);
-  if (result.status.ok()) result.table = std::move(sink);
-  return result;
-}
-
-RunResult ParallelExecutor::RunPipelineInto(
-    const Table* table, std::vector<std::string> scan_columns,
-    const PipelineFactory& factory, IntermediateTable* out,
-    const StageHints& hints) {
-  MA_CHECK(out != nullptr);
-  RunResult result = RunPipelineImpl(table, std::move(scan_columns), factory,
-                                     out->mutable_table(), hints);
-  out->EnsureSchema();
-  return result;
-}
-
 template <typename Slot, typename Fill>
 std::vector<Slot> ParallelExecutor::DrainPerMorsel(
     QueryContext* ctx, const Table* table,
     const std::vector<std::string>& scan_columns,
     const PipelineFactory& factory, const StageHints& hints,
-    const char* site, Fill fill) {
+    const char* site, u64 row_bytes, Fill fill) {
   const int workers = ResolveWorkers(hints);
   MorselQueue queue(table->row_count(), ResolveMorselSize(hints), workers,
                     parallel_config_.work_stealing);
@@ -147,7 +126,9 @@ std::vector<Slot> ParallelExecutor::DrainPerMorsel(
       if (!root->Next(&batch)) break;
       if (batch.live_count() == 0) continue;
       if (accounted &&
-          !ctx->ReserveMemory(site, ApproxBatchBytes(batch)).ok()) {
+          !ctx->ReserveMemory(site, batch.live_count() * row_bytes +
+                                        ApproxBatchBytes(batch))
+               .ok()) {
         return;
       }
       // The pipeline is pull-based and holds no batches back, so this
@@ -159,9 +140,9 @@ std::vector<Slot> ParallelExecutor::DrainPerMorsel(
   return slots;
 }
 
-RunResult ParallelExecutor::RunPipelineImpl(
+RunResult ParallelExecutor::RunPipeline(
     const Table* table, std::vector<std::string> scan_columns,
-    const PipelineFactory& factory, Table* sink, const StageHints& hints) {
+    const PipelineFactory& factory, const StageHints& hints) {
   MA_CHECK(table != nullptr);
   QueryContext* ctx = ResetEngines();
   const u64 t0 = CycleClock::Now();
@@ -169,6 +150,7 @@ RunResult ParallelExecutor::RunPipelineImpl(
   const std::vector<std::unique_ptr<Table>> morsel_out =
       DrainPerMorsel<std::unique_ptr<Table>>(
           ctx, table, scan_columns, factory, hints, "alloc/pipeline",
+          /*row_bytes=*/0,
           [](const Batch& batch, std::unique_ptr<Table>* part) {
             if (*part == nullptr) *part = std::make_unique<Table>("morsel");
             AppendBatchToTable(batch, part->get());
@@ -179,10 +161,11 @@ RunResult ParallelExecutor::RunPipelineImpl(
   result.status = ctx->status();
   result.reason = ReasonFromStatus(result.status);
   if (result.status.ok()) {
+    result.table = std::make_unique<Table>("result");
     for (const auto& part : morsel_out) {
-      if (part != nullptr) AppendTableRows(*part, sink);
+      if (part != nullptr) AppendTableRows(*part, result.table.get());
     }
-    result.rows_emitted = sink->row_count();
+    result.rows_emitted = result.table->row_count();
   }
 
   FinishTimings(t0, t_exec, &result);
@@ -192,33 +175,52 @@ RunResult ParallelExecutor::RunPipelineImpl(
 std::unique_ptr<SharedJoinBuild> ParallelExecutor::BuildJoin(
     const Table* build_table, std::vector<std::string> scan_columns,
     const PipelineFactory& factory, const HashJoinSpec& spec,
-    const StageHints& hints) {
+    const StageHints& hints, StageProfile* stages) {
   MA_CHECK(build_table != nullptr);
   QueryContext* ctx = ResetEngines();
+  const u64 t0 = CycleClock::Now();
   ctx->MaybeInjectFault("parallel/build");
 
-  const std::vector<SharedJoinBuild> parts =
-      DrainPerMorsel<SharedJoinBuild>(
-          ctx, build_table, scan_columns, factory, hints, "alloc/build",
-          [&spec](const Batch& batch, SharedJoinBuild* part) {
-            part->AppendBatch(batch, spec);
-          });
+  std::vector<SharedJoinBuild> parts = DrainPerMorsel<SharedJoinBuild>(
+      ctx, build_table, scan_columns, factory, hints, "alloc/build",
+      kJoinBuildBytesPerRow,
+      [&spec](const Batch& batch, SharedJoinBuild* part) {
+        part->AppendBatch(batch, spec);
+      });
+  const u64 t_exec = CycleClock::Now();
+
   // A failed build is useless (and possibly partial): report through
   // the context and hand the caller nothing to probe.
-  if (!ctx->status().ok()) return nullptr;
-
-  // Concatenate the parts in morsel order: build row ids come out
-  // exactly as a single-threaded drain would produce them.
-  auto shared = std::make_unique<SharedJoinBuild>();
-  for (const SharedJoinBuild& part : parts) shared->AppendPart(part);
-  // A macro-adaptivity hint overrides the spec's static bloom choice —
-  // bloom only discards probe rows that would miss anyway, so both arms
-  // produce identical join output.
-  Status finish = shared->Finish(
-      spec, hints.bloom >= 0 ? hints.bloom != 0 : spec.use_bloom);
-  if (!finish.ok()) {
-    ctx->Fail(std::move(finish));
-    return nullptr;
+  std::unique_ptr<SharedJoinBuild> shared;
+  if (ctx->status().ok()) {
+    // Concatenate the parts in morsel order: build row ids come out
+    // exactly as a single-threaded drain would produce them. The first
+    // part that holds rows is moved in and every later one is freed as
+    // soon as it is copied, so at most one part's rows exist twice.
+    shared = std::make_unique<SharedJoinBuild>();
+    for (SharedJoinBuild& part : parts) {
+      if (part.ht.num_rows() == 0) continue;
+      if (shared->ht.num_rows() == 0) {
+        *shared = std::move(part);
+      } else {
+        shared->AppendPart(part);
+        part = SharedJoinBuild();
+      }
+    }
+    // A macro-adaptivity hint overrides the spec's static bloom choice —
+    // bloom only discards probe rows that would miss anyway, so both arms
+    // produce identical join output.
+    Status finish = shared->Finish(
+        spec, hints.bloom >= 0 ? hints.bloom != 0 : spec.use_bloom);
+    if (!finish.ok()) {
+      ctx->Fail(std::move(finish));
+      shared = nullptr;
+    }
+  }
+  if (stages != nullptr) {
+    RunResult timings;
+    FinishTimings(t0, t_exec, &timings);
+    *stages = timings.stages;
   }
   return shared;
 }
@@ -253,7 +255,6 @@ RunResult ParallelExecutor::RunAgg(const Table* table,
     aggs[w] = std::make_unique<HashAggOperator>(
         engine, std::move(child), plan.group_keys, plan.group_outputs,
         std::move(specs), "parallel/agg");
-    aggs[w]->set_emit_key_sorted(true);
     // Open() drains this worker's share of the morsels — the
     // thread-local pre-aggregation. It polls the context per batch and
     // charges "alloc/agg" growth itself.

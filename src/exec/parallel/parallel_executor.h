@@ -45,7 +45,6 @@
 #include "exec/parallel/morsel.h"
 #include "exec/parallel/morsel_scan.h"
 #include "exec/parallel/thread_pool.h"
-#include "storage/intermediate.h"
 
 namespace ma {
 
@@ -95,23 +94,13 @@ class ParallelExecutor {
   /// Runs a streaming pipeline (scan → select/project/probe...) over a
   /// morsel-partitioned scan of `table`. The merged result table
   /// concatenates per-morsel outputs in morsel order: byte-identical
-  /// across thread counts.
+  /// across thread counts. Its columns come from the emitted batches,
+  /// so a pipeline that emits nothing yields a table with no columns;
+  /// callers apply the declared schema.
   RunResult RunPipeline(const Table* table,
                         std::vector<std::string> scan_columns,
                         const PipelineFactory& factory,
                         const StageHints& hints = StageHints());
-
-  /// Like RunPipeline, but materializes the merged output into `out`
-  /// (an intermediate a later plan stage scans like a base table): the
-  /// per-morsel partials append in morsel order, and the declared
-  /// schema is instantiated even when no rows survive, so downstream
-  /// scans and build-side type lookups always resolve. The returned
-  /// RunResult carries timings and row counts; its table is null.
-  RunResult RunPipelineInto(const Table* table,
-                            std::vector<std::string> scan_columns,
-                            const PipelineFactory& factory,
-                            IntermediateTable* out,
-                            const StageHints& hints = StageHints());
 
   /// Parallel hash-join build: drains per-worker build pipelines over a
   /// morsel scan of `build_table` into one SharedJoinBuild per morsel,
@@ -121,11 +110,15 @@ class ParallelExecutor {
   /// HashJoinOperator's shared-build constructor. Returns null when the
   /// query context failed mid-build (cancellation, deadline, budget,
   /// worker error) or the build was rejected — the caller reads
-  /// context()->status().
+  /// context()->status(). Each build row is charged to "alloc/build" at
+  /// the serial operator's rate. When `stages` is non-null it receives
+  /// the build's timings, as the other runners report theirs in
+  /// RunResult::stages.
   std::unique_ptr<SharedJoinBuild> BuildJoin(
       const Table* build_table, std::vector<std::string> scan_columns,
       const PipelineFactory& factory, const HashJoinSpec& spec,
-      const StageHints& hints = StageHints());
+      const StageHints& hints = StageHints(),
+      StageProfile* stages = nullptr);
 
   /// Thread-local pre-aggregation + merge. Each worker drains its own
   /// HashAggOperator over the factory pipeline; the operators of the
@@ -187,18 +180,11 @@ class ParallelExecutor {
   std::vector<InstanceProfile> MergedProfile() const;
 
  private:
-  /// Shared body of RunPipeline / RunPipelineInto: runs the per-worker
-  /// pipelines and appends the per-morsel outputs to `sink` in morsel
-  /// order.
-  RunResult RunPipelineImpl(const Table* table,
-                            std::vector<std::string> scan_columns,
-                            const PipelineFactory& factory, Table* sink,
-                            const StageHints& hints);
-  /// The per-worker drain of RunPipelineImpl and BuildJoin. Each hinted
+  /// The per-worker drain of RunPipeline and BuildJoin. Each hinted
   /// worker opens `factory`'s pipeline over a morsel scan of `table` and
   /// pulls it dry, charging every live batch to `site` when accounting
-  /// and handing it to `fill(batch, slot)` with the slot of the morsel
-  /// it came from. A morsel is processed by exactly one worker, so
+  /// (its bytes plus `row_bytes` per live row) and handing it to
+  /// `fill(batch, slot)` with the slot of the morsel it came from. A morsel is processed by exactly one worker, so
   /// workers never write the same slot, and reading the slots in index
   /// order makes the result independent of thread count and stealing.
   /// Failures land on `ctx`.
@@ -207,7 +193,7 @@ class ParallelExecutor {
       QueryContext* ctx, const Table* table,
       const std::vector<std::string>& scan_columns,
       const PipelineFactory& factory, const StageHints& hints,
-      const char* site, Fill fill);
+      const char* site, u64 row_bytes, Fill fill);
   /// Hints resolved against the pool and static config: the worker
   /// count actually running this stage and the morsel size to split by.
   int ResolveWorkers(const StageHints& hints) const;

@@ -60,7 +60,12 @@ std::vector<HashAggOperator::AggSpec> CloneAggs(
 
 RunResult WithDeclaredSchema(const std::vector<ColumnInfo>& schema,
                              RunResult r) {
-  if (!r.status.ok() || r.table == nullptr || r.table->row_count() != 0) {
+  if (!r.status.ok() || r.table == nullptr) return r;
+  if (r.table->row_count() != 0) {
+    for (const ColumnInfo& c : schema) {
+      const Column* col = r.table->FindColumn(c.name);
+      MA_CHECK(col != nullptr && col->type() == c.type);
+    }
     return r;
   }
   auto t = std::make_unique<Table>("result");
@@ -571,16 +576,10 @@ OperatorPtr Compiler::Lower(const PlanNode* node, LowerEnv* env) {
           engine, Lower(node->children[0].get(), env),
           Lower(node->children[1].get(), env), node->merge_spec,
           node->label);
-    case NodeKind::kGroupBy: {
-      auto agg = std::make_unique<HashAggOperator>(
+    case NodeKind::kGroupBy:
+      return std::make_unique<HashAggOperator>(
           engine, Lower(node->children[0].get(), env), node->group_keys,
           node->group_outputs, CloneAggs(node->aggs, scalars), node->label);
-      // Plan contract: groups emit in packed-key order, matching the
-      // parallel merge, so serial and parallel row order agree even
-      // without a Sort above the aggregation.
-      agg->set_emit_key_sorted(true);
-      return agg;
-    }
     case NodeKind::kSort:
       return std::make_unique<SortOperator>(
           engine, Lower(node->children[0].get(), env), node->sort_keys,

@@ -21,11 +21,10 @@
 //     serial over its — materialized — input), or
 //   - a merge join (serial over two base tables or materialized inputs).
 // A stage's input is either a base-table scan leaf or the materialized
-// output of an earlier stage: every stage but the last writes its
-// result into an IntermediateTable that downstream stages scan exactly
-// like a base table (storage/intermediate.h). This is what lets
-// aggregations feed joins, sorts feed merge joins, and subquery results
-// be re-scanned. The last stage computes the plan root and its output
+// output of an earlier stage: every stage but the last keeps its result
+// table, typed by WithDeclaredSchema, and downstream stages scan it
+// exactly like a base table. This is what lets aggregations feed joins,
+// sorts feed merge joins, and subquery results be re-scanned. The last stage computes the plan root and its output
 // is the query result: a top Sort or Limit is an ordinary sort stage,
 // and a filter or project above a breaker is a pipeline stage scanning
 // the breaker's intermediate.
@@ -86,12 +85,15 @@ using SharedTables =
 Status ReadScalarValue(const Table& t, const std::string& column,
                        PhysicalType type, ScalarValue* out);
 
-/// Rebuilds an empty result from the plan's declared output `schema`.
-/// The serial drain learns column names and types only from emitted
-/// batches, so a zero-row query yields a zero-COLUMN table there, while
-/// staged materialization emits typed empty columns. Every entry point
-/// that returns a plan's result passes it through here, so all paths
-/// agree byte for byte on empty results too.
+/// The one schema rule for a plan's or a stage's output table, given
+/// its declared `schema`. Drains learn column names and types only from
+/// emitted batches, so a zero-row output may lack columns or hold
+/// guessed types; it is rebuilt as an empty table with exactly the
+/// declared columns, so downstream scans and all execution paths agree
+/// byte for byte on empty results too. A non-empty output must hold
+/// every declared column at its declared type — anything else is a
+/// compiler schema bug and aborts. Failed and table-less results pass
+/// through unchanged.
 RunResult WithDeclaredSchema(const std::vector<ColumnInfo>& schema,
                              RunResult r);
 
@@ -129,8 +131,8 @@ struct Stage {
   const PlanNode* merge = nullptr;  // kMergeJoin node
   std::vector<SortKey> sort_keys;   // kSort (empty = keep input order)
   size_t limit = 0;                 // kSort
-  /// True → output goes to an IntermediateTable scanned by later
-  /// stages; false → this is the last stage, its output is the result.
+  /// True → the output table is kept for later stages to scan;
+  /// false → this is the last stage, its output is the result.
   bool materialize = false;
   /// Declared schema of the materialized output.
   std::vector<ColumnInfo> out_schema;

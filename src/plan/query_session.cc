@@ -8,14 +8,12 @@
 #include "exec/op_scan.h"
 #include "exec/op_sort.h"
 #include "plan/plan_fingerprint.h"
-#include "storage/intermediate.h"
 
 namespace ma::plan {
 namespace {
 
 /// Below this many input rows a sort+limit runs serially: the fan-out
-/// cannot pay for itself, and the serial path's empty-input behavior
-/// (a zero-column result table) is preserved exactly.
+/// cannot pay for itself.
 constexpr u64 kParallelTopNMinRows = 4096;
 
 /// Largest base table any stage scans — the row count that decides
@@ -32,16 +30,6 @@ u64 DrivingRows(const StagePlan& sp) {
     take(s.right);
   }
   return rows;
-}
-
-std::unique_ptr<IntermediateTable> MakeIntermediate(const Stage& stage) {
-  std::vector<IntermediateTable::ColumnSpec> specs;
-  specs.reserve(stage.out_schema.size());
-  for (const ColumnInfo& c : stage.out_schema) {
-    specs.push_back({c.name, c.type});
-  }
-  return std::make_unique<IntermediateTable>(
-      "stage" + std::to_string(stage.id), std::move(specs));
 }
 
 }  // namespace
@@ -101,20 +89,20 @@ RunResult QuerySession::Run(const LogicalPlan& plan, ExecMode mode,
     if (config_.macro.enabled) {
       site_prefix = StrategySitePrefix(FingerprintPlan(plan).stable_hash);
     }
+    // The root stage's declared schema is plan.root->schema, so a
+    // staged result already passed WithDeclaredSchema.
     if (staged != nullptr) {
       // Precompiled (plan-cache hit): skip BuildStagePlan entirely.
       if (gate(*staged)) {
         last_run_parallel_ = true;
-        return WithDeclaredSchema(plan.root->schema,
-                                  RunStaged(*staged, ctx, site_prefix));
+        return RunStaged(*staged, ctx, site_prefix);
       }
     } else {
       StagePlan sp;
       const Status s = Compiler::BuildStagePlan(plan, &sp);
       if (s.ok() && gate(sp)) {
         last_run_parallel_ = true;
-        return WithDeclaredSchema(plan.root->schema,
-                                  RunStaged(sp, ctx, site_prefix));
+        return RunStaged(sp, ctx, site_prefix);
       }
     }
   }
@@ -178,21 +166,20 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
   } guard{&engine_, parallel_.get()};
   const u64 t0 = CycleClock::Now();
 
-  // Stage outputs: shared join builds keyed by plan node, materialized
-  // intermediates keyed by stage id (scanned with every column).
+  // Stage outputs: shared join builds keyed by plan node, output tables
+  // keyed by stage id (scanned with every column).
   Compiler::BuildMap builds;
   // Scalar values, filled as the producing stages complete (scalar
   // stages precede their consumers in topological order); captured by
   // reference in the fragment factories below.
   ScalarBindings bindings;
   std::vector<std::unique_ptr<SharedJoinBuild>> owned_builds;
-  std::vector<std::unique_ptr<IntermediateTable>> mats(sp.stages.size());
-  std::vector<const Table*> outs(sp.stages.size(), nullptr);
+  std::vector<std::unique_ptr<Table>> outs(sp.stages.size());
   auto resolve = [&](const StageInput& in)
       -> std::pair<const Table*, std::vector<std::string>> {
     if (in.from_stage()) {
       MA_CHECK(outs[in.stage] != nullptr);
-      return {outs[in.stage], {}};
+      return {outs[in.stage].get(), {}};
     }
     return {in.scan->table, in.scan->columns};
   };
@@ -211,22 +198,21 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
   };
 
   StageProfile acc;
+  auto fold = [&acc](const StageProfile& s) {
+    acc.execute += s.execute;
+    acc.primitives += s.primitives;
+    acc.postprocess += s.postprocess;
+  };
   RunResult result;
-  // Shared stage epilogue: fold the stage's timings into the run
-  // profile, then either materialize the output into this stage's
-  // intermediate (unless an Into-style runner filled it already) or
-  // keep it as the final result.
+  // Shared epilogue of every table stage: fold its timings into the run
+  // profile, type its output by the declared schema, then keep the
+  // table for later stages or as the final result.
   auto finish = [&](const Stage& stage, RunResult r) {
-    acc.execute += r.stages.execute;
-    acc.primitives += r.stages.primitives;
-    acc.postprocess += r.stages.postprocess;
+    fold(r.stages);
     if (!r.status.ok()) return;  // the post-stage status check unwinds
+    r = WithDeclaredSchema(stage.out_schema, std::move(r));
     if (stage.materialize) {
-      if (mats[stage.id] == nullptr) {
-        mats[stage.id] = MakeIntermediate(stage);
-        mats[stage.id]->Adopt(std::move(r.table));
-        outs[stage.id] = mats[stage.id]->table();
-      }
+      outs[stage.id] = std::move(r.table);
     } else {
       result = std::move(r);
     }
@@ -245,41 +231,30 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
     const u64 s0 = CycleClock::Now();
     switch (stage.kind) {
       case Stage::Kind::kJoinBuild: {
-        // Bloom is only a decision where the static path would bloom;
-        // the left-outer exclusion stays a hard rule.
+        // Bloom is only a decision where the static path would bloom.
         const HashJoinSpec& spec = stage.join->hash_spec;
-        const bool bloom_site =
-            spec.use_bloom && spec.kind != HashJoinSpec::Kind::kLeftOuter;
-        owned_builds.push_back(
-            parallel_->BuildJoin(table, columns, fragment(stage), spec,
-                                 strategies.Decide(stage.id, bloom_site)));
+        StageProfile build_stages;
+        owned_builds.push_back(parallel_->BuildJoin(
+            table, columns, fragment(stage), spec,
+            strategies.Decide(stage.id, spec.BloomApplies()),
+            &build_stages));
+        fold(build_stages);
         if (owned_builds.back() == nullptr) break;  // ctx holds the error
         builds[stage.join] = owned_builds.back().get();
         break;
       }
       case Stage::Kind::kPipeline:
-      case Stage::Kind::kAggregate: {
-        const auto factory = fragment(stage);
-        const StageHints hints = strategies.Decide(stage.id, false);
-        RunResult r;
-        if (stage.kind == Stage::Kind::kPipeline && stage.materialize) {
-          // Per-morsel partials append straight into the intermediate.
-          mats[stage.id] = MakeIntermediate(stage);
-          r = parallel_->RunPipelineInto(table, columns, factory,
-                                         mats[stage.id].get(), hints);
-          outs[stage.id] = mats[stage.id]->table();
-        } else if (stage.kind == Stage::Kind::kAggregate) {
-          r = parallel_->RunAgg(
-              table, columns, factory,
-              {stage.agg->group_keys, stage.agg->group_outputs,
-               CloneAggs(stage.agg->aggs, bindings)},
-              hints);
-        } else {
-          r = parallel_->RunPipeline(table, columns, factory, hints);
-        }
-        finish(stage, std::move(r));
+        finish(stage, parallel_->RunPipeline(
+                          table, columns, fragment(stage),
+                          strategies.Decide(stage.id, false)));
         break;
-      }
+      case Stage::Kind::kAggregate:
+        finish(stage, parallel_->RunAgg(
+                          table, columns, fragment(stage),
+                          {stage.agg->group_keys, stage.agg->group_outputs,
+                           CloneAggs(stage.agg->aggs, bindings)},
+                          strategies.Decide(stage.id, false)));
+        break;
       case Stage::Kind::kSort: {
         if (stage.limit > 0 && !stage.sort_keys.empty() &&
             rows >= kParallelTopNMinRows) {
@@ -315,8 +290,8 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
     strategies.Measured(stage.id, rows, CycleClock::Now() - s0, stage.deps);
     if (ctx->ShouldStop()) break;
     // A scalar stage just completed: read its broadcast value out of
-    // the materialized single-row intermediate for every later stage's
-    // compiled expressions.
+    // its single-row output for every later stage's compiled
+    // expressions.
     for (const StagePlan::ScalarStage& sc : sp.scalars) {
       if (sc.stage == stage.id) {
         MA_CHECK(outs[stage.id] != nullptr);

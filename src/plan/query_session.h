@@ -11,8 +11,9 @@
 // aggregation stages fan out over the work-stealing morsel pool; a
 // Sort+Limit over a large input runs as a parallel TopN; other sort
 // and merge-join stages run serially on the session engine. Every
-// stage but the last materializes into an IntermediateTable that later
-// stages scan like a base table; the last stage's output is the result.
+// stage's output table passes WithDeclaredSchema (plan/compiler.h);
+// every stage but the last keeps it for later stages to scan like a
+// base table, and the last stage's output is the result.
 //
 // Determinism contract: a plan produces byte-identical result tables
 // under kSerial and kParallel at any thread count — streaming output

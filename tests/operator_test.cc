@@ -218,7 +218,6 @@ RunResult AggregateByOrdPart(ExecMode mode, const Table& table,
                   /*exact_f64_sum=*/true});
   HashAggOperator agg(&engine, std::move(scan), {{"ord", 20}, {"part", 12}},
                       {"ord", "part", "name"}, std::move(aggs));
-  agg.set_emit_key_sorted(true);
   RunResult r = engine.Run(agg);
   *ran_in_run_mode = agg.in_run_mode();
   return r;

@@ -605,7 +605,6 @@ TEST(ParallelAggTest, ClusteredKeysWithStealingMatchSerialByteForByte) {
       &engine,
       std::make_unique<ScanOperator>(&engine, data->lineitem, columns),
       keys, {"l_orderkey"}, make_aggs());
-  serial.set_emit_key_sorted(true);
   const RunResult ref = engine.Run(serial);
   ASSERT_TRUE(ref.status.ok());
   ASSERT_GT(ref.table->row_count(), 10000u);
@@ -729,11 +728,9 @@ TEST(HashAggMergeTest, MergedEqualsOneOperatorOverConcatenatedInput) {
         keys = {{"k", 8}};
         outputs = {"tag"};
       }
-      auto op = std::make_unique<HashAggOperator>(
+      return std::make_unique<HashAggOperator>(
           &engine, std::make_unique<ScanOperator>(&engine, t, cols), keys,
           outputs, EveryAggregate());
-      op->set_emit_key_sorted(true);
-      return op;
     };
     auto ref = make(tab.get());
     auto into = make(ta.get());

@@ -784,6 +784,58 @@ TEST(PlanFragmentTest, AutoRoutesByDrivingTableSize) {
   EXPECT_TRUE(join_session.last_run_parallel());
 }
 
+TEST(PlanFragmentTest, StagedStageProfileCountsJoinBuilds) {
+  // A filtered build side over an empty probe: the build stage calls
+  // select primitives, the probe stage none. The staged run's stage
+  // profile includes the build, as the serial engine's totals do.
+  auto build = MakeNumbersTable(16 * 1024);
+  auto probe = MakeNumbersTable(0);
+  PlanBuilder build_side = PlanBuilder::Scan(build.get(), {"a", "x"});
+  build_side.Filter(Lt(Col("a"), Lit(500)));
+  const LogicalPlan plan = PlanBuilder::Scan(probe.get(), {"a", "g"})
+                               .HashJoin(std::move(build_side), InnerSpec())
+                               .Build();
+  SessionConfig cfg;
+  cfg.parallel.num_threads = 2;
+  QuerySession session{cfg};
+  const RunResult r = session.Run(plan, ExecMode::kParallel);
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  EXPECT_TRUE(session.last_run_parallel());
+  EXPECT_EQ(r.table->row_count(), 0u);
+  EXPECT_GT(r.stages.primitives, 0u);
+  EXPECT_GE(r.stages.execute, r.stages.primitives);
+}
+
+TEST(PlanFragmentTest, DeclaredSchemaTypesEmptyOutputsOnly) {
+  const std::vector<ColumnInfo> schema = {{"k", PhysicalType::kI64},
+                                          {"v", PhysicalType::kF64}};
+  // An empty output whose drain guessed a type and missed a column is
+  // rebuilt with exactly the declared columns.
+  RunResult empty;
+  empty.table = std::make_unique<Table>("stage");
+  empty.table->AddColumn("v", PhysicalType::kI64);
+  empty.table->AddColumn("extra", PhysicalType::kStr);
+  empty = WithDeclaredSchema(schema, std::move(empty));
+  ASSERT_EQ(empty.table->num_columns(), 2u);
+  EXPECT_EQ(empty.table->column_name(0), "k");
+  EXPECT_EQ(empty.table->column(0)->type(), PhysicalType::kI64);
+  EXPECT_EQ(empty.table->column_name(1), "v");
+  EXPECT_EQ(empty.table->column(1)->type(), PhysicalType::kF64);
+  EXPECT_EQ(empty.table->row_count(), 0u);
+
+  // A non-empty output that holds the declared columns passes through
+  // untouched, extra columns and column order included.
+  RunResult full;
+  full.table = std::make_unique<Table>("stage");
+  full.table->AddColumn("v", PhysicalType::kF64)->Append<f64>(1.5);
+  full.table->AddColumn("k", PhysicalType::kI64)->Append<i64>(7);
+  full.table->set_row_count(1);
+  const Table* before = full.table.get();
+  full = WithDeclaredSchema(schema, std::move(full));
+  EXPECT_EQ(full.table.get(), before);
+  EXPECT_EQ(full.table->column_name(0), "v");
+}
+
 // ---------------------------------------------------------------------
 // Shared-subplan CSE: structural asserts on the stage DAG.
 // ---------------------------------------------------------------------

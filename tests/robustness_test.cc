@@ -191,6 +191,37 @@ TEST(RobustnessTest, MemoryBudgetExhaustionTerminatesEveryMode) {
   }
 }
 
+TEST(RobustnessTest, JoinBuildKeysChargedAlikeSerialAndStaged) {
+  // Both paths charge each build row's key, chain and directory slots
+  // on top of its output columns. The probe side is empty, so the
+  // build is the only charge: a budget between the build's column bytes
+  // (a and x, 16 a row) and that full charge trips every mode.
+  constexpr size_t kBuildRows = 16 * 1024;
+  auto build = MakeNumbersTable(kBuildRows);
+  auto probe = MakeNumbersTable(0);
+  HashJoinSpec spec;
+  spec.build_key = "a";
+  spec.probe_key = "a";
+  spec.build_outputs = {{"x", "bx"}};
+  spec.probe_outputs = {"a"};
+  PlanBuilder b = PlanBuilder::Scan(probe.get(), {"a"});
+  b.HashJoin(PlanBuilder::Scan(build.get(), {"a", "x"}), spec);
+  const LogicalPlan plan = b.Build();
+  ASSERT_TRUE(plan.ok()) << plan.status.ToString();
+  const u64 budget = kBuildRows * (16 + kJoinBuildBytesPerRow / 2);
+  for (const ExecMode mode : {ExecMode::kSerial, ExecMode::kParallel}) {
+    for (const int threads : {1, 2, 4}) {
+      QuerySession session{Config(threads)};
+      QueryContext ctx;
+      ctx.SetMemoryBudget(budget);
+      const RunResult r = session.Run(plan, mode, &ctx);
+      ExpectFailedThenClean(session, r,
+                            TerminationReason::kResourceExhausted, plan,
+                            threads, mode);
+    }
+  }
+}
+
 TEST(RobustnessTest, GenerousBudgetDoesNotChangeResults) {
   auto t = MakeNumbersTable(32 * 1024);
   const LogicalPlan plan = AggPlan(t.get());

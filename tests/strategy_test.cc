@@ -607,6 +607,50 @@ TEST(MacroAdaptTest, LearnedRunsByteIdenticalToStaticAcrossThreads) {
   }
 }
 
+TEST(MacroAdaptTest, OnlyJoinsThatCanBloomBuildFiltersOrDecideBloom) {
+  // An anti join keeps exactly the probe rows a bloom filter would
+  // discard, so use_bloom cannot apply to it: neither path makes a
+  // /bloom instance, and the staged build makes no bloom decision. The
+  // same plan as a semi join does both.
+  auto probe = MakeNumbersTable(32 * 1024, 7);
+  auto build = MakeNumbersTable(2 * 1024, 8);
+  for (const HashJoinSpec::Kind kind :
+       {HashJoinSpec::Kind::kSemi, HashJoinSpec::Kind::kAnti}) {
+    const bool semi = kind == HashJoinSpec::Kind::kSemi;
+    HashJoinSpec spec;
+    spec.build_key = "a";
+    spec.probe_key = "a";
+    spec.kind = kind;
+    spec.use_bloom = true;
+    PlanBuilder p = PlanBuilder::Scan(probe.get(), {"a", "g"}, "st/scan");
+    p.HashJoin(PlanBuilder::Scan(build.get(), {"a"}, "st/build"), spec,
+               "st/join");
+    const LogicalPlan plan = p.Build();
+    ASSERT_TRUE(plan.ok()) << plan.status.ToString();
+    for (const plan::ExecMode mode :
+         {plan::ExecMode::kSerial, plan::ExecMode::kParallel}) {
+      plan::SessionConfig sc;
+      sc.parallel.num_threads = 2;
+      sc.macro.enabled = true;
+      sc.macro.book = std::make_shared<StrategyBook>();
+      QuerySession session(sc);
+      const RunResult r = session.Run(plan, mode);
+      ASSERT_TRUE(r.ok()) << r.status.ToString();
+      bool bloom_instance = false;
+      for (const InstanceProfile& ip : session.Profile()) {
+        bloom_instance |= ip.label.ends_with("/bloom");
+      }
+      EXPECT_EQ(bloom_instance, semi) << "semi=" << semi;
+      if (mode != plan::ExecMode::kParallel) continue;
+      bool bloom_decided = false;
+      for (const StrategyProfile& rec : sc.macro.book->ExportDelta()) {
+        bloom_decided |= rec.kind == StrategyKind::kBloom;
+      }
+      EXPECT_EQ(bloom_decided, semi) << "semi=" << semi;
+    }
+  }
+}
+
 TEST(MacroAdaptTest, FailedRunsNeverReward) {
   auto probe = MakeNumbersTable(32 * 1024, 7);
   auto build = MakeNumbersTable(2 * 1024, 8);
