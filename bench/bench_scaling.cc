@@ -25,8 +25,10 @@
 //
 // 4. Governance overhead: Q1/Q6 governed (live QueryContext — far
 //    deadline, large memory budget, so polls and accounting run but
-//    never fire) vs ungoverned. Governance lives only at batch/morsel
-//    boundaries, so the delta should be ~1%; >10% fails the bench.
+//    never fire) vs ungoverned, alternated run by run; the overhead is
+//    the median governed/ungoverned ratio of adjacent runs. Governance
+//    lives only at batch/morsel boundaries, so the delta should be ~1%;
+//    >10% fails the bench.
 //
 // 5. Concurrent serving: the TPC-H query set submitted by
 //    1/2/4 concurrent tenants through one serve::WorkloadServer on a
@@ -72,6 +74,7 @@
 #include <deque>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include "bench_util.h"
 #include "knowledge/profile_store.h"
@@ -173,17 +176,34 @@ f64 MedianSeconds(F&& run, int reps = 0) {
   return samples[static_cast<size_t>(reps / 2)];
 }
 
-/// Best (minimum) seconds over `reps` runs after one warmup — the
-/// noise-robust statistic for overhead comparisons: scheduling noise
-/// only ever adds time, so min-vs-min isolates the code's own cost.
-/// reps <= 0 picks the default (7, or 3 in short mode).
-template <typename F>
-f64 MinSeconds(F&& run, int reps = 0) {
-  if (reps <= 0) reps = ShortMode() ? 3 : 7;
-  run();  // warmup
-  f64 best = run();
-  for (int r = 1; r < reps; ++r) best = std::min(best, run());
-  return best;
+/// Two timings taken in turn, `reps` times each after one warmup of
+/// each: their medians, and the median of the per-turn ratios b / a.
+/// Alternating puts drift in the host's speed (frequency, neighbours)
+/// on both sides alike, and the paired ratio cancels what two adjacent
+/// runs share. reps <= 0 picks the default (61, or 41 in short mode).
+struct AlternatedTiming {
+  f64 median_a;
+  f64 median_b;
+  f64 median_ratio;
+};
+template <typename A, typename B>
+AlternatedTiming AlternatedMedians(A&& a, B&& b, int reps = 0) {
+  if (reps <= 0) reps = ShortMode() ? 41 : 61;
+  a();  // warmup
+  b();
+  std::vector<f64> sa;
+  std::vector<f64> sb;
+  std::vector<f64> ratio;
+  for (int r = 0; r < reps; ++r) {
+    sa.push_back(a());
+    sb.push_back(b());
+    ratio.push_back(sb.back() / sa.back());
+  }
+  auto median = [reps](std::vector<f64>* v) {
+    std::nth_element(v->begin(), v->begin() + reps / 2, v->end());
+    return (*v)[static_cast<size_t>(reps / 2)];
+  };
+  return {median(&sa), median(&sb), median(&ratio)};
 }
 
 struct NamedPlan {
@@ -285,28 +305,29 @@ bool RunGovernanceOverhead(std::vector<NamedPlan> queries, int cores,
       cfg.parallel.num_threads = m.threads;
       plan::QuerySession session{cfg};
 
-      RunResult plain;
-      const f64 plain_seconds = MinSeconds([&] {
-        plain = session.Run(q.plan, m.mode);
-        return plain.seconds;
-      });
-      MA_CHECK(plain.ok());
-
       QueryContext ctx;
       ctx.SetTimeout(std::chrono::hours(1));
       ctx.SetMemoryBudget(8ULL << 30);  // 8 GiB: accounting on, no trip
+      RunResult plain;
       RunResult governed;
-      const f64 governed_seconds = MinSeconds([&] {
-        ctx.Reset();
-        governed = session.Run(q.plan, m.mode, &ctx);
-        return governed.seconds;
-      });
+      const AlternatedTiming t = AlternatedMedians(
+          [&] {
+            plain = session.Run(q.plan, m.mode);
+            return plain.seconds;
+          },
+          [&] {
+            ctx.Reset();
+            governed = session.Run(q.plan, m.mode, &ctx);
+            return governed.seconds;
+          });
+      MA_CHECK(plain.ok());
       MA_CHECK(governed.ok());
 
       const bool identical =
           BitFingerprint(*governed.table) == BitFingerprint(*plain.table);
-      const f64 overhead_pct =
-          (governed_seconds / plain_seconds - 1.0) * 100.0;
+      const f64 plain_seconds = t.median_a;
+      const f64 governed_seconds = t.median_b;
+      const f64 overhead_pct = (t.median_ratio - 1.0) * 100.0;
       acceptable = acceptable && identical && overhead_pct < 10.0;
       std::printf("%-6s %-9s %12.6f %12.6f %9.2f%% %10s\n", q.name,
                   m.name, plain_seconds, governed_seconds, overhead_pct,
@@ -855,8 +876,9 @@ int Run() {
       "Lifecycle-governance overhead: Q1 + Q6, governed vs ungoverned",
       "Governed = a live QueryContext with a far deadline and a large "
       "memory budget, so cancellation polls and memory accounting run "
-      "on every batch/morsel boundary but never fire. Expected "
-      "overhead ~1% (noise); >10% fails the bench.");
+      "on every batch/morsel boundary but never fire. The two alternate "
+      "run by run; overhead is the median governed/ungoverned ratio of "
+      "adjacent runs. Expected ~1% (noise); >10% fails the bench.");
   std::vector<NamedPlan> governed;
   governed.push_back({"q1", tpch::Q1Plan(*data)});
   governed.push_back({"q6", tpch::Q6Plan(*data)});

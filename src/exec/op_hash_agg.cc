@@ -1,7 +1,10 @@
 #include "exec/op_hash_agg.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <limits>
+#include <memory>
 #include <numeric>
 
 #include "exec/append.h"
@@ -17,13 +20,29 @@ HashAggOperator::HashAggOperator(Engine* engine, OperatorPtr child,
     : Operator(engine),
       child_(std::move(child)),
       group_keys_(std::move(group_keys)),
-      group_output_names_(std::move(group_outputs)),
       agg_specs_(std::move(aggs)),
       label_(label),
       eval_(engine, label) {
-  int total_bits = 0;
-  for (const GroupKey& k : group_keys_) total_bits += k.bits;
-  MA_CHECK(total_bits <= 63);
+  for (const GroupKey& k : group_keys_) total_bits_ += k.bits;
+  MA_CHECK(total_bits_ <= 63);
+  for (std::string& name : group_outputs) {
+    GroupOutput out;
+    int shift = total_bits_;
+    for (const GroupKey& k : group_keys_) {
+      shift -= k.bits;
+      if (k.column == name) {
+        out.shift = shift;
+        out.bits = k.bits;
+        break;
+      }
+    }
+    if (out.shift < 0) {
+      out.captured = static_cast<int>(captured_names_.size());
+      captured_names_.push_back(name);
+    }
+    out.name = std::move(name);
+    group_outputs_.push_back(std::move(out));
+  }
 }
 
 Status HashAggOperator::Open() {
@@ -32,9 +51,7 @@ Status HashAggOperator::Open() {
     insertcheck_ = engine_->NewInstance("ht_insertcheck_i64_col",
                                         label_ + "/insertcheck");
     // Runs share the first (most significant) key's value.
-    int total_bits = 0;
-    for (const GroupKey& k : group_keys_) total_bits += k.bits;
-    table_.ArmRunMode(total_bits - group_keys_[0].bits);
+    table_.ArmRunMode(total_bits_ - group_keys_[0].bits);
   } else {
     table_.FindOrInsert(0);  // the single global group
   }
@@ -135,14 +152,16 @@ void HashAggOperator::ConsumeBatch(Batch& batch) {
     std::vector<const i64*> key_cols(group_keys_.size());
     for (size_t k = 0; k < group_keys_.size(); ++k) {
       const int idx = batch.FindColumn(group_keys_[k].column);
-      MA_CHECK(idx >= 0);
+      MA_CHECK(idx >= 0 && batch.column(idx).type() == PhysicalType::kI64);
       key_cols[k] = batch.column(idx).Data<i64>();
     }
     auto pack_one = [&](sel_t i) {
       i64 key = 0;
       for (size_t k = 0; k < group_keys_.size(); ++k) {
         const i64 v = key_cols[k][i];
-        MA_CHECK(v >= 0 && v < (i64{1} << group_keys_[k].bits));
+        // 0 <= v < 2^bits, so the packed key decodes back to v.
+        MA_CHECK(v >= 0 &&
+                 (static_cast<u64>(v) >> group_keys_[k].bits) == 0);
         key = (key << group_keys_[k].bits) | v;
       }
       key_scratch_[i] = key;
@@ -167,12 +186,12 @@ void HashAggOperator::ConsumeBatch(Batch& batch) {
     }
     insertcheck_->Call(c);
 
-    // Record first-seen group-output values for new groups.
-    if (!group_output_names_.empty()) {
+    // Record first-seen values of the captured outputs for new groups.
+    if (!captured_names_.empty()) {
       // Resolve the columns once per batch, not once per new group.
-      std::vector<const Vector*> out_cols(group_output_names_.size());
-      for (size_t g = 0; g < group_output_names_.size(); ++g) {
-        const int idx = batch.FindColumn(group_output_names_[g]);
+      std::vector<const Vector*> out_cols(captured_names_.size());
+      for (size_t g = 0; g < captured_names_.size(); ++g) {
+        const int idx = batch.FindColumn(captured_names_[g]);
         MA_CHECK(idx >= 0);
         out_cols[g] = &batch.column(idx);
       }
@@ -307,6 +326,93 @@ void HashAggOperator::Merge(const HashAggOperator& other) {
   }
 }
 
+namespace {
+
+/// Writes the gids in [begin, end) to `order + begin`, sorted by key.
+void SortGidsByKey(const i64* keys, u32 begin, u32 end, u32* order) {
+  std::iota(order + begin, order + end, begin);
+  std::sort(order + begin, order + end,
+            [keys](u32 a, u32 b) { return keys[a] < keys[b]; });
+}
+
+/// Run mode: `keys` holds runs of one leading part (`key >> shift`) each,
+/// gids contiguous and leading parts ascending from run to run. Writes
+/// the gids in key order to `order`: a key's slot is its run's start
+/// plus the number of keys in the run below it (keys are distinct).
+void RankRuns(const std::vector<i64>& keys, int shift, u32* order) {
+  const u32 n = static_cast<u32>(keys.size());
+  const i64* k = keys.data();
+  for (u32 begin = 0; begin < n;) {
+    const i64 lead = k[begin] >> shift;
+    u32 end = begin + 1;
+    while (end < n && (k[end] >> shift) == lead) ++end;
+    if (end - begin <= HashAggOperator::kRankMaxRun) {
+      for (u32 i = begin; i < end; ++i) {
+        u32 below = 0;
+        for (u32 j = begin; j < end; ++j) below += k[j] < k[i];
+        order[begin + below] = i;
+      }
+    } else {
+      SortGidsByKey(k, begin, end, order);
+    }
+    begin = end;
+  }
+}
+
+/// Hash mode: writes the gids of `keys` (at least two, distinct,
+/// non-negative) to `order` in key order. Only the span of bits
+/// [low, high) in which the keys differ can order them. When that span
+/// and a gid fit in 64 bits together, the packed (span, gid) words are
+/// LSD radix sorted, 11 bits of span per pass, skipping the digits that
+/// every key shares; otherwise the gids are sorted by key.
+void OrderGidsByKey(const std::vector<i64>& keys, u32* order) {
+  constexpr int kDigitBits = 11;
+  constexpr u64 kDigitMask = (u64{1} << kDigitBits) - 1;
+  const size_t n = keys.size();
+  u64 differ = 0;
+  for (const i64 key : keys) differ |= static_cast<u64>(key ^ keys[0]);
+  const int low = std::countr_zero(differ);
+  const int span_bits = std::bit_width(differ) - low;  // <= 63
+  const int gid_bits = std::bit_width(n - 1);
+  if (span_bits + gid_bits > 64) {
+    SortGidsByKey(keys.data(), 0, static_cast<u32>(n), order);
+    return;
+  }
+  const u64 span_mask = (u64{1} << span_bits) - 1;
+  const int digits = (span_bits + kDigitBits - 1) / kDigitBits;
+  std::vector<std::array<u32, kDigitMask + 1>> counts(digits);  // zeroed
+  auto from = std::make_unique_for_overwrite<u64[]>(n);
+  auto to = std::make_unique_for_overwrite<u64[]>(n);
+  for (size_t g = 0; g < n; ++g) {
+    const u64 span = (static_cast<u64>(keys[g]) >> low) & span_mask;
+    from[g] = span << gid_bits | g;
+    for (int d = 0; d < digits; ++d) {
+      ++counts[d][(span >> (d * kDigitBits)) & kDigitMask];
+    }
+  }
+  for (int d = 0; d < digits; ++d) {
+    const int shift = gid_bits + d * kDigitBits;
+    std::array<u32, kDigitMask + 1>& pos = counts[d];
+    if (pos[(from[0] >> shift) & kDigitMask] == n) continue;
+    u32 sum = 0;
+    for (u32& c : pos) {
+      const u32 count = c;
+      c = sum;
+      sum += count;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      to[pos[(from[i] >> shift) & kDigitMask]++] = from[i];
+    }
+    std::swap(from, to);
+  }
+  const u64 gid_mask = (u64{1} << gid_bits) - 1;
+  for (size_t i = 0; i < n; ++i) {
+    order[i] = static_cast<u32>(from[i] & gid_mask);
+  }
+}
+
+}  // namespace
+
 void HashAggOperator::PlanEmitOrder() {
   emit_order_.clear();
   const std::vector<i64>& keys = table_.keys_by_gid();
@@ -314,23 +420,10 @@ void HashAggOperator::PlanEmitOrder() {
     return;
   }
   emit_order_.resize(keys.size());
-  std::iota(emit_order_.begin(), emit_order_.end(), 0u);
-  auto by_key = [&keys](u32 a, u32 b) { return keys[a] < keys[b]; };
   if (table_.in_run_mode()) {
-    // Runs already ascend by their leading part: sort inside each.
-    const int shift = table_.run_shift();
-    for (size_t begin = 0; begin < keys.size();) {
-      size_t end = begin + 1;
-      while (end < keys.size() &&
-             (keys[end] >> shift) == (keys[begin] >> shift)) {
-        ++end;
-      }
-      std::sort(emit_order_.begin() + begin, emit_order_.begin() + end,
-                by_key);
-      begin = end;
-    }
+    RankRuns(keys, table_.run_shift(), emit_order_.data());
   } else {
-    std::sort(emit_order_.begin(), emit_order_.end(), by_key);
+    OrderGidsByKey(keys, emit_order_.data());
   }
 }
 
@@ -350,14 +443,28 @@ bool HashAggOperator::Next(Batch* out) {
     return reorder ? emit_order_[row] : row;
   };
 
-  for (size_t g = 0; g < group_out_cols_.size(); ++g) {
-    const Column* col = group_out_cols_[g].get();
+  const i64* keys = table_.keys_by_gid().data();
+  for (const GroupOutput& g : group_outputs_) {
+    if (g.shift >= 0) {
+      auto v = std::make_shared<Vector>(PhysicalType::kI64, n);
+      i64* d = v->Data<i64>();
+      const u64 mask = (u64{1} << g.bits) - 1;
+      for (size_t i = 0; i < n; ++i) {
+        d[i] = static_cast<i64>((static_cast<u64>(keys[gid(i)]) >> g.shift) &
+                                mask);
+      }
+      v->set_size(n);
+      out->AddColumn(g.name, std::move(v));
+      continue;
+    }
+    // A global aggregation over no rows captured nothing.
+    if (group_out_cols_.empty()) continue;
+    const Column* col = group_out_cols_[g.captured].get();
     if (!reorder) {
       const char* base = static_cast<const char*>(col->RawData());
       out->AddColumn(
-          group_output_names_[g],
-          Vector::View(col->type(),
-                       base + emit_pos_ * TypeWidth(col->type()), n));
+          g.name, Vector::View(col->type(),
+                               base + emit_pos_ * TypeWidth(col->type()), n));
     } else {
       auto v = std::make_shared<Vector>(col->type(), n);
       ForPhysicalType(col->type(), [&](auto tag) {
@@ -367,7 +474,7 @@ bool HashAggOperator::Next(Batch* out) {
         for (size_t i = 0; i < n; ++i) d[i] = s[gid(i)];
       });
       v->set_size(n);
-      out->AddColumn(group_output_names_[g], std::move(v));
+      out->AddColumn(g.name, std::move(v));
     }
   }
   for (AggState& st : aggs_) {

@@ -7,17 +7,33 @@
 // Group-by key columns must be i64 (dictionary codes, dates, ids) and
 // declare a bit width; widths must sum to <= 63 so packing is exact.
 // With no group keys the operator computes global aggregates (group 0).
-// Groups are emitted in ascending packed-key order, so a result's row
-// order depends only on its groups, not on the input order or on how
-// partial aggregations were merged.
+// With keys and no aggregates it is a DISTINCT.
+//
+// Group outputs. An output that names a group key is decoded from the
+// packed key at emission ((key >> offset) & mask): packing checked that
+// the value fits its bits, so the decoded value is the input value. Only
+// the other outputs (e.g. the string a code stands for) are captured,
+// from the row that first sees each group.
+//
+// Emission order. Groups are emitted in ascending packed-key order, so a
+// result's row order depends only on its groups, not on the input order
+// or on how partial aggregations were merged. If the gids already
+// ascend by key, emission reads the arrays in place. Otherwise:
+//  - in run mode each run's gids are contiguous and the runs ascend, so
+//    each key's slot is the count of keys in its run below it (runs
+//    longer than kRankMaxRun are sorted instead);
+//  - in hash mode the bits in which the keys differ are packed with the
+//    gid into one word and LSD radix sorted, 11 bits per pass, skipping
+//    digits that every key shares (if they do not fit in a word, the
+//    gids are sorted by key).
+// Keys are distinct, so every method yields the one ascending order.
 //
 // Open() arms the group table's run mode (see GroupTable) on the first
 // group key: while that key does not decrease from row to row — lineitem
 // arrives in l_orderkey order — the table holds only the current run's
-// groups instead of all of them, and emission sorts only inside each
-// run. The first decrease turns it into a plain hash table for the rest
-// of the input. Gids, accumulator updates and emission
-// order are the same in both modes, so the bytes are too.
+// groups instead of all of them. The first decrease turns it into a
+// plain hash table for the rest of the input. Gids, accumulator updates
+// and emission order are the same in both modes, so the bytes are too.
 //
 // Merge() folds another operator's drained groups into this one. The
 // parallel executor merges its per-worker pre-aggregations that way, so
@@ -72,9 +88,10 @@ class HashAggOperator : public Operator {
     }
   };
 
-  /// `group_outputs`: child columns materialized per group (first-seen
-  /// row values) and emitted alongside the aggregates — e.g. the string
-  /// columns whose codes are grouped on.
+  /// `group_outputs`: child columns emitted per group ahead of the
+  /// aggregates. A group key is decoded from the packed key; any other
+  /// column (e.g. the string a grouped code stands for) keeps the value
+  /// of the first row of its group.
   HashAggOperator(Engine* engine, OperatorPtr child,
                   std::vector<GroupKey> group_keys,
                   std::vector<std::string> group_outputs,
@@ -99,9 +116,12 @@ class HashAggOperator : public Operator {
   /// Each of `other`'s groups, in gid order, finds or inserts its key
   /// here, and its accumulators fold into that group: sums, counts and
   /// avg parts add (exact f64 sums in i128), mins and maxes combine. A
-  /// group new to this operator takes `other`'s first-seen group
-  /// outputs. Calls no primitive, so profiles are unchanged.
+  /// group new to this operator takes `other`'s captured group outputs.
+  /// Calls no primitive, so profiles are unchanged.
   void Merge(const HashAggOperator& other);
+
+  /// Longest run that PlanEmitOrder ranks in place; longer runs sort.
+  static constexpr size_t kRankMaxRun = 16;
 
  private:
   struct AggState {
@@ -120,6 +140,15 @@ class HashAggOperator : public Operator {
     }
   };
 
+  /// Where group output g comes from: bits [shift, shift + bits) of the
+  /// packed key, or (shift < 0) captured column group_out_cols_[captured].
+  struct GroupOutput {
+    std::string name;
+    int shift = -1;
+    int bits = 0;
+    int captured = -1;
+  };
+
   void ConsumeBatch(Batch& batch);
   /// Grows `st`'s accumulators (typed by its bound argument type) to
   /// the current group count; ResizeAccumulators does so for all.
@@ -136,7 +165,10 @@ class HashAggOperator : public Operator {
 
   OperatorPtr child_;
   std::vector<GroupKey> group_keys_;
-  std::vector<std::string> group_output_names_;
+  int total_bits_ = 0;
+  std::vector<GroupOutput> group_outputs_;
+  /// Names of the captured (non-key) group outputs.
+  std::vector<std::string> captured_names_;
   std::vector<AggSpec> agg_specs_;
   std::string label_;
   ExprEvaluator eval_;
@@ -144,7 +176,7 @@ class HashAggOperator : public Operator {
   GroupTable table_;
   PrimitiveInstance* insertcheck_ = nullptr;
   std::vector<AggState> aggs_;
-  /// Stored per-group values of group_outputs (first-seen).
+  /// Per-group values of captured_names_ (first-seen), by gid.
   std::vector<std::unique_ptr<Column>> group_out_cols_;
   /// Scratch: packed keys and group ids for the current vector.
   std::vector<i64> key_scratch_;

@@ -147,12 +147,12 @@ RunResult ParallelExecutor::RunPipeline(
   QueryContext* ctx = ResetEngines();
   const u64 t0 = CycleClock::Now();
   ctx->MaybeInjectFault("parallel/pipeline");
-  const std::vector<std::unique_ptr<Table>> morsel_out =
+  std::vector<std::unique_ptr<Table>> morsel_out =
       DrainPerMorsel<std::unique_ptr<Table>>(
           ctx, table, scan_columns, factory, hints, "alloc/pipeline",
           /*row_bytes=*/0,
           [](const Batch& batch, std::unique_ptr<Table>* part) {
-            if (*part == nullptr) *part = std::make_unique<Table>("morsel");
+            if (*part == nullptr) *part = std::make_unique<Table>("result");
             AppendBatchToTable(batch, part->get());
           });
   const u64 t_exec = CycleClock::Now();
@@ -161,9 +161,20 @@ RunResult ParallelExecutor::RunPipeline(
   result.status = ctx->status();
   result.reason = ReasonFromStatus(result.status);
   if (result.status.ok()) {
-    result.table = std::make_unique<Table>("result");
-    for (const auto& part : morsel_out) {
-      if (part != nullptr) AppendTableRows(*part, result.table.get());
+    // Concatenate the parts in morsel order. The first part that holds
+    // rows is moved in and every later one is freed as soon as it is
+    // copied, so at most one part's rows exist twice.
+    for (std::unique_ptr<Table>& part : morsel_out) {
+      if (part == nullptr) continue;
+      if (result.table == nullptr) {
+        result.table = std::move(part);
+      } else {
+        AppendTableRows(*part, result.table.get());
+        part.reset();
+      }
+    }
+    if (result.table == nullptr) {
+      result.table = std::make_unique<Table>("result");
     }
     result.rows_emitted = result.table->row_count();
   }

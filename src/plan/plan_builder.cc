@@ -548,6 +548,10 @@ PlanBuilder& PlanBuilder::GroupBy(
     std::vector<std::string> group_outputs,
     std::vector<HashAggOperator::AggSpec> aggs, std::string label) {
   if (!Active()) return *this;
+  if (group_keys.empty() && aggs.empty()) {
+    Fail("GroupBy needs a group key or an aggregate");
+    return *this;
+  }
   int total_bits = 0;
   for (const auto& k : group_keys) {
     const ColumnInfo* c = Find(root_->schema, k.column);

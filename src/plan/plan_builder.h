@@ -100,8 +100,10 @@ class PlanBuilder {
                          std::string label = "mergejoin");
 
   /// Hash aggregation. Group keys must be i64 columns with declared bit
-  /// widths summing to <= 63. Emits `group_outputs` (first-seen values
-  /// per group) then one column per aggregate. f64 SUM/AVG aggregates
+  /// widths summing to <= 63. Emits `group_outputs` (a group key's value,
+  /// or any other column's first-seen value per group) then one column
+  /// per aggregate. Keys without aggregates make a DISTINCT; a GroupBy
+  /// with neither is rejected. f64 SUM/AVG aggregates
   /// accumulate in 128-bit fixed point (order-independent), so compiled
   /// plans produce bit-identical results under serial and parallel
   /// execution at any thread count.

@@ -1075,8 +1075,6 @@ plan::LogicalPlan Q16Plan(const TpchData& d) {
   aj.probe_key = "ps_suppkey";
   aj.kind = HashJoinSpec::Kind::kAnti;
 
-  std::vector<Agg> da;
-  da.push_back(MakeAgg("count", nullptr, "dummy"));
   std::vector<Agg> ca;
   ca.push_back(MakeAgg("count", nullptr, "supplier_cnt"));
 
@@ -1088,7 +1086,7 @@ plan::LogicalPlan Q16Plan(const TpchData& d) {
                 GK{"p_size", 6}, GK{"ps_suppkey", 24}},
                {"p_brand", "p_type", "p_size", "p_brand_code",
                 "p_type_code"},
-               std::move(da), "q16/dedupe")
+               {}, "q16/dedupe")
       .GroupBy({GK{"p_brand_code", 5}, GK{"p_type_code", 8},
                 GK{"p_size", 6}},
                {"p_brand", "p_type", "p_size"}, std::move(ca),
@@ -1248,8 +1246,6 @@ plan::LogicalPlan Q20Plan(const TpchData& d) {
   fj.probe_key = "ps_partkey";
   fj.kind = HashJoinSpec::Kind::kSemi;
 
-  std::vector<Agg> da;
-  da.push_back(MakeAgg("count", nullptr, "dummy"));
   PlanBuilder keys = PlanBuilder::Scan(
       d.partsupp,
       {"ps_pskey", "ps_partkey", "ps_suppkey", "ps_availqty_f"},
@@ -1258,8 +1254,7 @@ plan::LogicalPlan Q20Plan(const TpchData& d) {
       .Project(std::move(houts), "q20/half")
       .Filter(Gt(Col("ps_availqty_f"), Col("half_qty")), "q20/excess")
       .HashJoin(std::move(part), fj, "q20/forest_semi")
-      .GroupBy({GK{"ps_suppkey", 24}}, {"ps_suppkey"}, std::move(da),
-               "q20/dedupe");
+      .GroupBy({GK{"ps_suppkey", 24}}, {"ps_suppkey"}, {}, "q20/dedupe");
 
   // CANADA suppliers among the deduped keys.
   HashJoinSpec sj;
@@ -1295,29 +1290,25 @@ plan::LogicalPlan Q21Plan(const TpchData& d) {
 
   // Distinct suppliers per order (all lines): agg-over-agg, with the
   // >= 2 filter making it the EXISTS-other-supplier semi build.
-  std::vector<Agg> d1;
-  d1.push_back(MakeAgg("count", nullptr, "dummy"));
   std::vector<Agg> c1;
   c1.push_back(MakeAgg("count", nullptr, "n_supp"));
   PlanBuilder n_supp = PlanBuilder::Scan(
       d.lineitem, {"l_orderkey", "l_suppkey"}, "q21/pairs_scan");
   n_supp
       .GroupBy({GK{"l_orderkey", 36}, GK{"l_suppkey", 24}},
-               {"l_orderkey"}, std::move(d1), "q21/all_pairs")
+               {"l_orderkey"}, {}, "q21/all_pairs")
       .GroupBy({GK{"l_orderkey", 36}}, {"l_orderkey"}, std::move(c1),
                "q21/supp_per_order")
       .Filter(Ge(Col("n_supp"), Lit(i64{2})), "q21/multi");
 
   // Distinct *late* suppliers per order over the shared late lines;
   // == 1 makes it the NOT-EXISTS-other-late-supplier semi build.
-  std::vector<Agg> d2;
-  d2.push_back(MakeAgg("count", nullptr, "dummy"));
   std::vector<Agg> c2;
   c2.push_back(MakeAgg("count", nullptr, "n_late_supp"));
   PlanBuilder n_late = PlanBuilder::SharedRef(late, "q21/late_pairs_ref");
   n_late
       .GroupBy({GK{"l_orderkey", 36}, GK{"l_suppkey", 24}},
-               {"l_orderkey"}, std::move(d2), "q21/late_pairs")
+               {"l_orderkey"}, {}, "q21/late_pairs")
       .GroupBy({GK{"l_orderkey", 36}}, {"l_orderkey"}, std::move(c2),
                "q21/late_per_order")
       .Filter(Eq(Col("n_late_supp"), Lit(i64{1})), "q21/single_late");

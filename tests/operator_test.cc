@@ -3,8 +3,11 @@
 // Micro Adaptivity must never change results, only speed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "common/rng.h"
 #include "exec/op_hash_agg.h"
@@ -257,6 +260,151 @@ TEST_P(AllModesTest, HashAggRunModeMatchesHashOnlyByteForByte) {
       AggregateByOrdPart(GetParam(), *MakeClusteredTable(late), &runs);
   EXPECT_FALSE(runs);
   EXPECT_EQ(ExactFingerprint(*late_run.table), ExactFingerprint(*ref.table));
+}
+
+/// Two-key input for emission-order checks: `tag` is a string that
+/// depends on the key pair only.
+struct KeyPair {
+  i64 hi;
+  i64 lo;
+};
+
+/// Groups `rows` by (hi, lo) with the given widths and no aggregates,
+/// emitting lo, tag and hi (keys out of key order, a captured column in
+/// between), and checks the result against a std::sort of the distinct
+/// pairs: emission order, decoded key values and the captured tag.
+/// Returns whether the operator ended in run mode.
+bool ExpectKeyOrderedDistinct(ExecMode mode, const std::vector<KeyPair>& rows,
+                              int hi_bits, int lo_bits) {
+  auto t = std::make_unique<Table>("pairs");
+  Column* hi = t->AddColumn("hi", PhysicalType::kI64);
+  Column* lo = t->AddColumn("lo", PhysicalType::kI64);
+  Column* tag = t->AddColumn("tag", PhysicalType::kStr);
+  auto tag_of = [](const KeyPair& p) {
+    return std::to_string(p.hi) + "/" + std::to_string(p.lo);
+  };
+  for (const KeyPair& p : rows) {
+    hi->Append<i64>(p.hi);
+    lo->Append<i64>(p.lo);
+    tag->AppendString(tag_of(p));
+  }
+  t->set_row_count(rows.size());
+
+  Engine engine(ConfigFor(mode));
+  HashAggOperator agg(
+      &engine,
+      std::make_unique<ScanOperator>(
+          &engine, t.get(), std::vector<std::string>{"hi", "lo", "tag"}),
+      {{"hi", hi_bits}, {"lo", lo_bits}}, {"lo", "tag", "hi"}, {});
+  const RunResult r = engine.Run(agg);
+
+  std::vector<std::pair<i64, i64>> want;
+  for (const KeyPair& p : rows) want.push_back({p.hi, p.lo});
+  std::sort(want.begin(), want.end());
+  want.erase(std::unique(want.begin(), want.end()), want.end());
+  EXPECT_EQ(r.table->num_columns(), 3u);
+  EXPECT_EQ(r.table->column_name(0), "lo");
+  EXPECT_EQ(r.table->column_name(2), "hi");
+  EXPECT_EQ(r.table->row_count(), want.size());
+  if (r.table->row_count() != want.size()) return agg.in_run_mode();
+  const i64* got_hi = r.table->FindColumn("hi")->Data<i64>();
+  const i64* got_lo = r.table->FindColumn("lo")->Data<i64>();
+  const StrRef* got_tag = r.table->FindColumn("tag")->Data<StrRef>();
+  size_t mismatches = 0;
+  for (size_t i = 0; i < want.size(); ++i) {
+    const KeyPair p{want[i].first, want[i].second};
+    mismatches += got_hi[i] != p.hi || got_lo[i] != p.lo ||
+                  got_tag[i].view() != tag_of(p);
+  }
+  EXPECT_EQ(mismatches, 0u);
+  return agg.in_run_mode();
+}
+
+TEST_P(AllModesTest, RunModeEmitsLongRunsInKeyOrder) {
+  // Ascending hi with runs of 1..64 distinct lo each, lo shuffled and
+  // repeated inside its run: runs both below and above the rank
+  // cut-off.
+  Rng rng(5);
+  std::vector<KeyPair> rows;
+  for (i64 h = 0; rows.size() < 20000; h += 1 + rng.NextBounded(2)) {
+    const u64 len = 1 + rng.NextBounded(64);
+    for (u64 i = 0; i < 2 * len; ++i) {
+      rows.push_back({h, static_cast<i64>(rng.NextBounded(len) * 37)});
+    }
+  }
+  EXPECT_TRUE(ExpectKeyOrderedDistinct(GetParam(), rows, 20, 12));
+  static_assert(HashAggOperator::kRankMaxRun < 64);
+}
+
+TEST_P(AllModesTest, HashModeEmitsFullWidthKeysInKeyOrder) {
+  // hi and lo span all 63 key bits, values reach each field's top bit,
+  // and hi falls right away, so the table hashes from the start. The
+  // keys differ in too many bits to pack with a gid into one word.
+  Rng rng(6);
+  std::vector<KeyPair> rows;
+  for (int i = 0; i < 30000; ++i) {
+    const i64 h = i == 0 ? (i64{1} << 31) - 1
+                         : static_cast<i64>(rng.NextBounded(u64{1} << 31));
+    const i64 l = rng.NextBool(0.1) ? (i64{1} << 32) - 1
+                                    : static_cast<i64>(rng.Next() >> 32);
+    rows.push_back({h, l});
+    if (rng.NextBool(0.2)) rows.push_back({h, l});  // repeated groups
+  }
+  EXPECT_FALSE(ExpectKeyOrderedDistinct(GetParam(), rows, 31, 32));
+}
+
+TEST_P(AllModesTest, HashModeEmitsKeysWithSharedMiddleBits) {
+  // Shaped like (l_orderkey, l_suppkey) after a staged merge: hi is a
+  // shuffled 19-bit value in a 36-bit field, lo a 9-bit value in a
+  // 24-bit field, so the keys share bits 9-23 and the radix pass over
+  // that digit is skipped.
+  Rng rng(7);
+  std::vector<KeyPair> rows;
+  for (int i = 0; i < 40000; ++i) {
+    rows.push_back({static_cast<i64>(rng.NextBounded(u64{1} << 19)),
+                    static_cast<i64>(rng.NextBounded(500))});
+  }
+  EXPECT_FALSE(ExpectKeyOrderedDistinct(GetParam(), rows, 36, 24));
+}
+
+TEST_P(AllModesTest, HashModeEmitsKeysDifferingInTopBitsOnly) {
+  // The packed keys share their low 60 bits; only the 3-bit hi differs.
+  const i64 lo = (i64{1} << 60) - 3;
+  std::vector<KeyPair> rows;
+  for (int rep = 0; rep < 500; ++rep) {
+    for (const i64 h : {5, 2, 7, 0, 3, 6, 1, 4}) rows.push_back({h, lo});
+  }
+  EXPECT_FALSE(ExpectKeyOrderedDistinct(GetParam(), rows, 3, 60));
+  // One more key, below (3, lo) by bit 40 only, arriving last: a digit
+  // shared by all keys but one still needs its pass.
+  rows.push_back({3, lo - (i64{1} << 40)});
+  EXPECT_FALSE(ExpectKeyOrderedDistinct(GetParam(), rows, 3, 60));
+}
+
+TEST(HashAggOperatorTest, SixtyThreeBitKeyDecodesItsTopValue) {
+  // One key of the full 63 bits: its largest value must pass the
+  // range check at packing and decode back unchanged.
+  const i64 top = std::numeric_limits<i64>::max();
+  auto table = std::make_unique<Table>("wide");
+  Column* k = table->AddColumn("k", PhysicalType::kI64);
+  for (const i64 v : {top, i64{0}, top, i64{1} << 62}) k->Append<i64>(v);
+  table->set_row_count(4);
+  Engine engine{EngineConfig()};
+  std::vector<HashAggOperator::AggSpec> aggs;
+  aggs.push_back({"count", nullptr, "n"});
+  HashAggOperator agg(
+      &engine,
+      std::make_unique<ScanOperator>(&engine, table.get(),
+                                     std::vector<std::string>{"k"}),
+      {{"k", 63}}, {"k"}, std::move(aggs));
+  const RunResult r = engine.Run(agg);
+  ASSERT_EQ(r.table->row_count(), 3u);
+  const i64* got = r.table->FindColumn("k")->Data<i64>();
+  const i64* n = r.table->FindColumn("n")->Data<i64>();
+  EXPECT_EQ(got[0], 0);
+  EXPECT_EQ(got[1], i64{1} << 62);
+  EXPECT_EQ(got[2], top);
+  EXPECT_EQ(n[2], 2);
 }
 
 std::unique_ptr<Table> MakeDimTable(size_t rows) {

@@ -1,7 +1,10 @@
 // Randomized differential testing of the two executors: a seeded
 // generator builds a few hundred small logical plans — filter / project
-// / hash-join (inner, semi, anti, left outer) / global, one- and two-key group-by (sum, count, and
-// avg / min / max over i64 and f64) / sort / limit pipelines over
+// / hash-join (inner, semi, anti, left outer) / global, one- and
+// two-key group-by (sum, count, and avg / min / max over i64 and f64, or
+// no aggregate at all: a DISTINCT; key outputs in or out of key order,
+// and a captured output that depends on a key) / sort / limit
+// pipelines over
 // the dbgen tables, including HAVING-style filters and projections above
 // an aggregation and top-N sorts large enough for the parallel TopN
 // path, a quarter of them DAG-shaped (duplicated subtrees for the compiler's automatic CSE,
@@ -16,6 +19,8 @@
 // failure message identifies the offending plan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -263,6 +268,7 @@ plan::LogicalPlan GrowRandomPlan(const TpchData& d, PlanBuilder b,
   }
 
   bool grouped = false;
+  bool distinct = false;
   if (!topn && rng->Chance(60)) {
     // One key, two, or none: (l_orderkey, l_suppkey) keeps lineitem's
     // order on the leading key, so the group table runs with several
@@ -288,44 +294,78 @@ plan::LogicalPlan GrowRandomPlan(const TpchData& d, PlanBuilder b,
       default:
         break;
     }
-    std::vector<std::string> key_names;
-    for (const auto& k : keys) key_names.push_back(k.column);
-    std::vector<HashAggOperator::AggSpec> aggs;
-    HashAggOperator::AggSpec sum;
-    sum.fn = "sum";
-    sum.arg = Col(measure);
-    sum.out_name = "sum_v";
-    aggs.push_back(std::move(sum));
-    HashAggOperator::AggSpec cnt;
-    cnt.fn = "count";
-    cnt.out_name = "cnt";
-    aggs.push_back(std::move(cnt));
-    // Each of avg, min and max half the time, over the f64 measure or
-    // the i64 l_suppkey: staged execution folds and emits them through
-    // the same merge as sum and count.
-    for (const std::string fn : {"avg", "min", "max"}) {
-      if (!rng->Chance(50)) continue;
-      const bool on_f64 = rng->Chance(50);
-      HashAggOperator::AggSpec extra;
-      extra.fn = fn;
-      extra.arg = Col(on_f64 ? measure : "l_suppkey");
-      extra.out_name = fn + (on_f64 ? "_f" : "_i");
-      aggs.push_back(std::move(extra));
+    // Group outputs: the keys in key order, reversed, or only the last
+    // one — each decoded from the packed key — plus, when a join brought
+    // it in, the joined table's value of a key column, which depends on
+    // the key alone and is captured from the group's first row.
+    std::vector<std::string> outputs;
+    for (const auto& k : keys) outputs.push_back(k.column);
+    switch (rng->Below(3)) {
+      case 0:
+        break;
+      case 1:
+        std::reverse(outputs.begin(), outputs.end());
+        break;
+      default:
+        if (outputs.size() > 1) outputs.erase(outputs.begin());
+        break;
     }
-    b.GroupBy(keys, key_names, std::move(aggs), "diff/agg");
-    grouped = true;
-    if (rng->Chance(30)) {
+    auto in_scope = [&b](const char* name) {
+      for (const auto& c : b.schema()) {
+        if (c.name == name) return true;
+      }
+      return false;
+    };
+    for (const auto& k : keys) {
+      const char* dependent = k.column == "l_orderkey" ? "o_totalprice"
+                                                       : "s_acctbal";
+      if (in_scope(dependent) && rng->Chance(50)) {
+        outputs.push_back(dependent);
+      }
+    }
+    // A keyed GroupBy without aggregates is a DISTINCT.
+    distinct = !keys.empty() && rng->Chance(20);
+    std::vector<HashAggOperator::AggSpec> aggs;
+    if (!distinct) {
+      HashAggOperator::AggSpec sum;
+      sum.fn = "sum";
+      sum.arg = Col(measure);
+      sum.out_name = "sum_v";
+      aggs.push_back(std::move(sum));
+      HashAggOperator::AggSpec cnt;
+      cnt.fn = "count";
+      cnt.out_name = "cnt";
+      aggs.push_back(std::move(cnt));
+      // Each of avg, min and max half the time, over the f64 measure or
+      // the i64 l_suppkey: staged execution folds and emits them through
+      // the same merge as sum and count.
+      for (const std::string fn : {"avg", "min", "max"}) {
+        if (!rng->Chance(50)) continue;
+        const bool on_f64 = rng->Chance(50);
+        HashAggOperator::AggSpec extra;
+        extra.fn = fn;
+        extra.arg = Col(on_f64 ? measure : "l_suppkey");
+        extra.out_name = fn + (on_f64 ? "_f" : "_i");
+        aggs.push_back(std::move(extra));
+      }
+    }
+    b.GroupBy(keys, outputs, std::move(aggs), "diff/agg");
+    grouped = !distinct;
+    if (grouped && rng->Chance(30)) {
       b.Filter(Ge(Col("cnt"), Lit(static_cast<i64>(1 + rng->Below(3)))),
                "diff/having");
     }
     if (rng->Chance(30)) {
       // Same names, new values: the sort keys below stay valid.
       std::vector<ProjectOperator::Output> outs;
-      for (const std::string& name : key_names) {
+      for (const std::string& name : outputs) {
         outs.push_back({name, Col(name)});
       }
-      outs.push_back({"sum_v", Mul(Col("sum_v"), Lit(0.5))});
-      outs.push_back({"cnt", Add(Col("cnt"), Lit(static_cast<i64>(1)))});
+      if (grouped) {
+        outs.push_back({"sum_v", Mul(Col("sum_v"), Lit(0.5))});
+        outs.push_back(
+            {"cnt", Add(Col("cnt"), Lit(static_cast<i64>(1)))});
+      }
       b.Project(std::move(outs), "diff/agg_project");
     }
   }
@@ -337,6 +377,11 @@ plan::LogicalPlan GrowRandomPlan(const TpchData& d, PlanBuilder b,
       keys.push_back({rng->Chance(50) ? "sum_v" : "cnt", rng->Chance(50)});
       keys.push_back({b.schema().empty() ? "cnt" : b.schema()[0].name,
                       false});
+    } else if (distinct) {
+      keys.push_back({b.schema()[0].name, true});
+      if (b.schema().size() > 1) {
+        keys.push_back({b.schema()[1].name, rng->Chance(50)});
+      }
     } else {
       keys.push_back({"l_orderkey", rng->Chance(30)});
       keys.push_back({"l_suppkey", false});
@@ -396,12 +441,43 @@ plan::LogicalPlan GrowSharedPlan(const TpchData& d, Rng* rng,
   return GrowRandomPlan(d, std::move(probe), rng, Shape::kAny);
 }
 
+/// GroupBy shapes a plan contains, counted so the test can show that
+/// the generator really draws each one.
+struct GroupByShapes {
+  int distinct = 0;        // keys, no aggregates
+  int keys_reordered = 0;  // key outputs not all keys in key order
+  int captured = 0;        // an output that is not a key
+};
+
+void CountGroupBys(const plan::PlanNode& n, GroupByShapes* shapes) {
+  if (n.kind == plan::NodeKind::kGroupBy && !n.group_keys.empty()) {
+    shapes->distinct += n.aggs.empty();
+    std::vector<std::string> key_outputs;
+    bool captured = false;
+    for (const std::string& out : n.group_outputs) {
+      bool is_key = false;
+      for (const auto& k : n.group_keys) is_key |= k.column == out;
+      if (is_key) {
+        key_outputs.push_back(out);
+      } else {
+        captured = true;
+      }
+    }
+    std::vector<std::string> key_order;
+    for (const auto& k : n.group_keys) key_order.push_back(k.column);
+    shapes->keys_reordered += key_outputs != key_order;
+    shapes->captured += captured;
+  }
+  for (const auto& c : n.children) CountGroupBys(*c, shapes);
+}
+
 TEST_F(PlanDifferentialTest, TwoHundredRandomPlansByteIdentical) {
   constexpr int kNumPlans = 200;
   Rng rng{0x5eed5eed5eed5eedull};
 
   ASSERT_GE(data_->lineitem->row_count(), kParallelTopNMinRows);
   plan::QuerySession serial_session{plan::SessionConfig{}};
+  GroupByShapes shapes;
   for (int i = 0; i < kNumPlans; ++i) {
     // Every 4th plan is DAG-shaped; explicit BindShared and implicit
     // duplicate-subtree CSE alternate. Every 8th is a top-N sort over
@@ -433,6 +509,7 @@ TEST_F(PlanDifferentialTest, TwoHundredRandomPlansByteIdentical) {
     }
     ASSERT_TRUE(plan.ok())
         << "plan " << i << " failed to build: " << plan.status.message();
+    CountGroupBys(*plan.root, &shapes);
 
     const RunResult ref = serial_session.Run(plan, plan::ExecMode::kSerial);
     ASSERT_TRUE(ref.status.ok())
@@ -460,6 +537,12 @@ TEST_F(PlanDifferentialTest, TwoHundredRandomPlansByteIdentical) {
           << DumpPlan(plan);
     }
   }
+  EXPECT_GE(shapes.distinct, 5);
+  EXPECT_GE(shapes.keys_reordered, 5);
+  EXPECT_GE(shapes.captured, 5);
+  std::printf("group-bys drawn: %d distinct, %d with reordered keys, "
+              "%d with a captured output\n",
+              shapes.distinct, shapes.keys_reordered, shapes.captured);
 }
 
 }  // namespace

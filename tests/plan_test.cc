@@ -9,7 +9,9 @@
 // profile row per plan site with `instances` == thread count).
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -413,6 +415,59 @@ TEST(PlanParityTest, GroupByWithoutSortEmitsKeyOrderBothWays) {
   ExpectParity(PlanBuilder::Scan(t.get(), {"g", "v"})
                    .GroupBy({{"g", 4}}, {"g"}, std::move(aggs))
                    .Build());
+}
+
+TEST(PlanParityTest, DistinctIsAGroupByWithoutAggregates) {
+  // Keys and no aggregates: one row per distinct (g, a). The outputs
+  // name the keys out of key order and add a captured string, so the
+  // decoded key columns and the first-seen column must line up.
+  auto t = MakeNumbersTable(30 * 1024);
+  const LogicalPlan plan = PlanBuilder::Scan(t.get(), {"a", "g", "s"})
+                               .GroupBy({{"g", 4}, {"a", 10}},
+                                        {"a", "s", "g"}, {}, "distinct")
+                               .Build();
+  ASSERT_TRUE(plan.ok()) << plan.status.message();
+  ExpectParity(plan);
+
+  QuerySession session{SessionConfig{}};
+  const RunResult r = session.Run(plan, ExecMode::kSerial);
+  ASSERT_TRUE(r.status.ok()) << r.status.message();
+  ASSERT_EQ(r.table->num_columns(), 3u);
+  std::set<std::pair<i64, i64>> want;
+  for (size_t i = 0; i < t->row_count(); ++i) {
+    want.insert({t->FindColumn("g")->Data<i64>()[i],
+                 t->FindColumn("a")->Data<i64>()[i]});
+  }
+  ASSERT_EQ(r.table->row_count(), want.size());
+  static const char* kNames[8] = {"alpha", "bravo", "charlie", "delta",
+                                  "echo",  "fox",   "golf",    "hotel"};
+  size_t row = 0;
+  for (const auto& [g, a] : want) {  // ascending (g, a): packed-key order
+    EXPECT_EQ(r.table->FindColumn("g")->Data<i64>()[row], g);
+    EXPECT_EQ(r.table->FindColumn("a")->Data<i64>()[row], a);
+    EXPECT_EQ(r.table->FindColumn("s")->Data<StrRef>()[row].view(), kNames[g]);
+    ++row;
+  }
+}
+
+TEST(PlanBuilderTest, GroupByWithoutKeysOrAggregatesIsRejected) {
+  // Neither a key nor an aggregate defines no row: the builder rejects
+  // it, and running the plan returns the typed error on both paths.
+  auto t = MakeNumbersTable(64);
+  for (const std::vector<std::string>& outputs :
+       {std::vector<std::string>{}, std::vector<std::string>{"g"}}) {
+    const LogicalPlan plan = PlanBuilder::Scan(t.get(), {"g", "x"})
+                                 .GroupBy({}, outputs, {})
+                                 .Build();
+    EXPECT_FALSE(plan.ok());
+    EXPECT_EQ(plan.status.code(), StatusCode::kInvalidArgument);
+    for (const ExecMode mode : {ExecMode::kSerial, ExecMode::kParallel}) {
+      QuerySession session{SessionConfig{}};
+      const RunResult r = session.Run(plan, mode);
+      EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(r.table, nullptr);
+    }
+  }
 }
 
 TEST(PlanParityTest, SortLimitAndBareLimit) {
