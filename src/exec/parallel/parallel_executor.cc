@@ -29,9 +29,7 @@ ParallelExecutor::ParallelExecutor(EngineConfig engine_config,
                                    ParallelConfig parallel_config,
                                    PrimitiveDictionary* dict,
                                    ThreadPool* shared_pool)
-    : engine_config_(std::move(engine_config)),
-      parallel_config_(parallel_config),
-      dict_(dict) {
+    : parallel_config_(parallel_config) {
   if (shared_pool != nullptr) {
     pool_ = shared_pool;
   } else {
@@ -43,6 +41,10 @@ ParallelExecutor::ParallelExecutor(EngineConfig engine_config,
     owned_pool_ = std::make_unique<ThreadPool>(threads);
     pool_ = owned_pool_.get();
   }
+  for (int w = 0; w < num_threads(); ++w) {
+    engines_.push_back(std::make_unique<Engine>(engine_config, dict));
+    engines_.back()->set_context(context_);
+  }
   // Prime lazily-initialized singletons on this thread so the parallel
   // regions neither race on first-touch nor absorb the ~20ms frequency
   // calibration into a timed section.
@@ -51,27 +53,27 @@ ParallelExecutor::ParallelExecutor(EngineConfig engine_config,
 
 ParallelExecutor::~ParallelExecutor() = default;
 
-QueryContext* ParallelExecutor::ResetEngines() {
-  if (context_ == &own_context_) own_context_.Reset();
-  engines_.clear();
-  for (int w = 0; w < num_threads(); ++w) {
-    engines_.push_back(std::make_unique<Engine>(engine_config_, dict_));
-    engines_.back()->set_context(context_);
-  }
-  return context_;
-}
-
 u64 ParallelExecutor::TotalPrimitiveCycles() const {
   u64 total = 0;
   for (const auto& eng : engines_) total += eng->TotalPrimitiveCycles();
   return total;
 }
 
-void ParallelExecutor::FinishTimings(u64 t0, u64 t_exec,
-                                     RunResult* result) const {
+QueryContext* ParallelExecutor::BeginRun(const char* fault_site) {
+  if (context_ == &own_context_) own_context_.Reset();
+  primitives_before_run_ = TotalPrimitiveCycles();
+  context_->MaybeInjectFault(fault_site);
+  return context_;
+}
+
+void ParallelExecutor::FinishRun(u64 t0, u64 t_exec,
+                                 RunResult* result) const {
+  result->status = context_->status();
+  result->reason = ReasonFromStatus(result->status);
+  if (!result->status.ok()) result->table = nullptr;
   const u64 t_end = CycleClock::Now();
   result->stages.execute = t_exec - t0;
-  result->stages.primitives = TotalPrimitiveCycles();
+  result->stages.primitives = TotalPrimitiveCycles() - primitives_before_run_;
   result->stages.postprocess = t_end - t_exec;
   result->total_cycles = t_end - t0;
   result->seconds =
@@ -96,47 +98,60 @@ std::vector<InstanceProfile> ParallelExecutor::MergedProfile() const {
   return MergeInstanceProfiles(instances);
 }
 
+template <typename Split, typename Work>
+void ParallelExecutor::RunWorkers(
+    QueryContext* ctx, const Table* table,
+    const std::vector<std::string>& scan_columns,
+    const PipelineFactory& factory, const StageHints& hints, Split split,
+    Work work) {
+  const int workers = ResolveWorkers(hints);
+  MorselQueue queue(table->row_count(), ResolveMorselSize(hints), workers,
+                    parallel_config_.work_stealing);
+  split(queue.num_morsels());
+  Status pool_status = pool_->Run([&](int w) {
+    if (w >= workers || ctx->ShouldStop()) return;
+    Engine* engine = engines_[w].get();
+    auto scan = std::make_unique<MorselScanOperator>(
+        engine, table, scan_columns, &queue, w);
+    const MorselScanOperator* scan_leaf = scan.get();
+    work(w, factory(engine, std::move(scan)), *scan_leaf);
+  }, task_tag_);
+  if (!pool_status.ok()) ctx->Fail(std::move(pool_status));
+}
+
 template <typename Slot, typename Fill>
 std::vector<Slot> ParallelExecutor::DrainPerMorsel(
     QueryContext* ctx, const Table* table,
     const std::vector<std::string>& scan_columns,
     const PipelineFactory& factory, const StageHints& hints,
     const char* site, u64 row_bytes, Fill fill) {
-  const int workers = ResolveWorkers(hints);
-  MorselQueue queue(table->row_count(), ResolveMorselSize(hints), workers,
-                    parallel_config_.work_stealing);
-  std::vector<Slot> slots(queue.num_morsels());
+  std::vector<Slot> slots;
   const bool accounted = ctx->accounting_enabled();
-
-  Status pool_status = pool_->Run([&](int w) {
-    if (w >= workers || ctx->ShouldStop()) return;
-    Engine* engine = engines_[w].get();
-    auto scan = std::make_unique<MorselScanOperator>(
-        engine, table, scan_columns, &queue, w);
-    MorselScanOperator* scan_leaf = scan.get();
-    OperatorPtr root = factory(engine, std::move(scan));
-    Status open = root->Open();
-    if (!open.ok()) {
-      ctx->Fail(std::move(open));
-      return;
-    }
-    Batch batch;
-    for (;;) {
-      batch.Clear();
-      if (!root->Next(&batch)) break;
-      if (batch.live_count() == 0) continue;
-      if (accounted &&
-          !ctx->ReserveMemory(site, batch.live_count() * row_bytes +
-                                        ApproxBatchBytes(batch))
-               .ok()) {
-        return;
-      }
-      // The pipeline is pull-based and holds no batches back, so this
-      // output belongs to the morsel the scan leaf emitted last.
-      fill(batch, &slots[scan_leaf->current_morsel()]);
-    }
-  }, task_tag_);
-  if (!pool_status.ok()) ctx->Fail(std::move(pool_status));
+  RunWorkers(
+      ctx, table, scan_columns, factory, hints,
+      [&slots](size_t morsels) { slots.resize(morsels); },
+      [&](int, OperatorPtr root, const MorselScanOperator& scan_leaf) {
+        Status open = root->Open();
+        if (!open.ok()) {
+          ctx->Fail(std::move(open));
+          return;
+        }
+        Batch batch;
+        for (;;) {
+          batch.Clear();
+          if (!root->Next(&batch)) break;
+          if (batch.live_count() == 0) continue;
+          if (accounted &&
+              !ctx->ReserveMemory(site, batch.live_count() * row_bytes +
+                                            ApproxBatchBytes(batch))
+                   .ok()) {
+            return;
+          }
+          // Pull-based, no batch held back: this output belongs to the
+          // morsel the scan leaf emitted last.
+          fill(batch, &slots[scan_leaf.current_morsel()]);
+        }
+      });
   return slots;
 }
 
@@ -144,9 +159,8 @@ RunResult ParallelExecutor::RunPipeline(
     const Table* table, std::vector<std::string> scan_columns,
     const PipelineFactory& factory, const StageHints& hints) {
   MA_CHECK(table != nullptr);
-  QueryContext* ctx = ResetEngines();
+  QueryContext* ctx = BeginRun("parallel/pipeline");
   const u64 t0 = CycleClock::Now();
-  ctx->MaybeInjectFault("parallel/pipeline");
   std::vector<std::unique_ptr<Table>> morsel_out =
       DrainPerMorsel<std::unique_ptr<Table>>(
           ctx, table, scan_columns, factory, hints, "alloc/pipeline",
@@ -158,9 +172,7 @@ RunResult ParallelExecutor::RunPipeline(
   const u64 t_exec = CycleClock::Now();
 
   RunResult result;
-  result.status = ctx->status();
-  result.reason = ReasonFromStatus(result.status);
-  if (result.status.ok()) {
+  if (ctx->status().ok()) {
     // Concatenate the parts in morsel order. The first part that holds
     // rows is moved in and every later one is freed as soon as it is
     // copied, so at most one part's rows exist twice.
@@ -179,7 +191,7 @@ RunResult ParallelExecutor::RunPipeline(
     result.rows_emitted = result.table->row_count();
   }
 
-  FinishTimings(t0, t_exec, &result);
+  FinishRun(t0, t_exec, &result);
   return result;
 }
 
@@ -188,9 +200,8 @@ std::unique_ptr<SharedJoinBuild> ParallelExecutor::BuildJoin(
     const PipelineFactory& factory, const HashJoinSpec& spec,
     const StageHints& hints, StageProfile* stages) {
   MA_CHECK(build_table != nullptr);
-  QueryContext* ctx = ResetEngines();
+  QueryContext* ctx = BeginRun("parallel/build");
   const u64 t0 = CycleClock::Now();
-  ctx->MaybeInjectFault("parallel/build");
 
   std::vector<SharedJoinBuild> parts = DrainPerMorsel<SharedJoinBuild>(
       ctx, build_table, scan_columns, factory, hints, "alloc/build",
@@ -230,7 +241,7 @@ std::unique_ptr<SharedJoinBuild> ParallelExecutor::BuildJoin(
   }
   if (stages != nullptr) {
     RunResult timings;
-    FinishTimings(t0, t_exec, &timings);
+    FinishRun(t0, t_exec, &timings);
     *stages = timings.stages;
   }
   return shared;
@@ -242,72 +253,58 @@ RunResult ParallelExecutor::RunAgg(const Table* table,
                                    const AggPlan& plan,
                                    const StageHints& hints) {
   MA_CHECK(table != nullptr);
-  QueryContext* ctx = ResetEngines();
+  QueryContext* ctx = BeginRun("parallel/agg");
   const u64 t0 = CycleClock::Now();
-  ctx->MaybeInjectFault("parallel/agg");
-
-  const int workers = ResolveWorkers(hints);
-  MorselQueue queue(table->row_count(), ResolveMorselSize(hints), workers,
-                    parallel_config_.work_stealing);
   std::vector<std::unique_ptr<HashAggOperator>> aggs(num_threads());
-
-  Status pool_status = pool_->Run([&](int w) {
-    if (w >= workers || ctx->ShouldStop()) return;
-    Engine* engine = engines_[w].get();
-    auto scan = std::make_unique<MorselScanOperator>(
-        engine, table, scan_columns, &queue, w);
-    OperatorPtr child = factory(engine, std::move(scan));
-    // Clone the plan: AggSpec holds expression trees, and each worker
-    // must own its own (expression nodes anchor primitive instances).
-    std::vector<HashAggOperator::AggSpec> specs;
-    for (const HashAggOperator::AggSpec& a : plan.aggs) {
-      specs.push_back(a.Clone());
-    }
-    aggs[w] = std::make_unique<HashAggOperator>(
-        engine, std::move(child), plan.group_keys, plan.group_outputs,
-        std::move(specs), "parallel/agg");
-    // Open() drains this worker's share of the morsels — the
-    // thread-local pre-aggregation. It polls the context per batch and
-    // charges "alloc/agg" growth itself.
-    Status open = aggs[w]->Open();
-    if (!open.ok()) ctx->Fail(std::move(open));
-  }, task_tag_);
-  if (!pool_status.ok()) ctx->Fail(std::move(pool_status));
+  RunWorkers(
+      ctx, table, scan_columns, factory, hints, [](size_t) {},
+      [&](int w, OperatorPtr child, const MorselScanOperator&) {
+        // Clone the plan: each worker owns its expression trees
+        // (expression nodes anchor primitive instances).
+        std::vector<HashAggOperator::AggSpec> specs;
+        for (const HashAggOperator::AggSpec& a : plan.aggs) {
+          specs.push_back(a.Clone());
+        }
+        aggs[w] = std::make_unique<HashAggOperator>(
+            engines_[w].get(), std::move(child), plan.group_keys,
+            plan.group_outputs, std::move(specs), plan.label);
+        // Open() drains this worker's share of the morsels — the
+        // thread-local pre-aggregation. It polls the context per batch
+        // and charges "alloc/agg" growth itself.
+        Status open = aggs[w]->Open();
+        if (!open.ok()) ctx->Fail(std::move(open));
+      });
   const u64 t_exec = CycleClock::Now();
+
   RunResult result;
-  if (!ctx->status().ok()) {
-    result.status = ctx->status();
-    result.reason = ReasonFromStatus(result.status);
-    FinishTimings(t0, t_exec, &result);
-    return result;
-  }
-
-  // Merge, in worker-id order, every pre-aggregation that saw rows into
-  // the first such one; it then emits key-sorted through its Next(). A
-  // worker that saw no rows holds only identity accumulators typed from
-  // the hints, which may disagree with the data's types: skip it. When
-  // no worker saw a row, worker 0's state is the (empty or identity)
-  // result.
-  HashAggOperator* merged = nullptr;
-  for (const auto& agg : aggs) {
-    if (agg == nullptr || !agg->saw_rows()) continue;
-    if (merged == nullptr) {
-      merged = agg.get();
-    } else {
-      merged->Merge(*agg);
+  if (ctx->status().ok()) {
+    // Merge, in worker-id order, every pre-aggregation that saw rows
+    // into the first such one; it then emits key-sorted through its
+    // Next(). A worker that saw no rows holds only identity accumulators
+    // typed from the hints, which may disagree with the data's types:
+    // skip it. When no worker saw a row, worker 0's state is the (empty
+    // or identity) result.
+    HashAggOperator* merged = nullptr;
+    for (const auto& agg : aggs) {
+      if (agg == nullptr || !agg->saw_rows()) continue;
+      if (merged == nullptr) {
+        merged = agg.get();
+      } else {
+        merged->Merge(*agg);
+      }
     }
+    if (merged == nullptr) merged = aggs[0].get();
+    MA_CHECK(merged != nullptr);
+    result.table = std::make_unique<Table>("result");
+    Batch batch;
+    while (merged->Next(&batch)) {
+      AppendBatchToTable(batch, result.table.get());
+      batch.Clear();
+    }
+    result.rows_emitted = result.table->row_count();
   }
-  if (merged == nullptr) merged = aggs[0].get();
-  MA_CHECK(merged != nullptr);
-  result.table = std::make_unique<Table>("result");
-  Batch batch;
-  while (merged->Next(&batch)) {
-    AppendBatchToTable(batch, result.table.get());
-    batch.Clear();
-  }
-  result.rows_emitted = result.table->row_count();
 
-  FinishTimings(t0, t_exec, &result);
+  FinishRun(t0, t_exec, &result);
   return result;
 }
 
@@ -318,9 +315,8 @@ RunResult ParallelExecutor::RunTopN(const Table* table,
   MA_CHECK(table != nullptr);
   MA_CHECK(limit > 0);
   MA_CHECK(!keys.empty());
-  QueryContext* ctx = ResetEngines();
+  QueryContext* ctx = BeginRun("parallel/topn");
   const u64 t0 = CycleClock::Now();
-  ctx->MaybeInjectFault("parallel/topn");
 
   std::vector<const Column*> key_cols;
   for (const SortKey& k : keys) {
@@ -364,53 +360,38 @@ RunResult ParallelExecutor::RunTopN(const Table* table,
   const u64 t_exec = CycleClock::Now();
 
   RunResult result;
-  if (!ctx->status().ok()) {
-    result.status = ctx->status();
-    result.reason = ReasonFromStatus(result.status);
-    FinishTimings(t0, t_exec, &result);
-    return result;
-  }
-
-  // Ordered merge: the exact rows and order a serial sort+limit yields.
-  std::vector<u64> order;
-  for (const auto& heap : heaps) {
-    order.insert(order.end(), heap.begin(), heap.end());
-  }
-  std::sort(order.begin(), order.end(), less);
-  if (order.size() > limit) order.resize(limit);
-
-  result.table = std::make_unique<Table>("result");
-  std::vector<sel_t> sel(order.begin(), order.end());
-  std::vector<std::string> all_cols;
-  const std::vector<std::string>* out_cols = &columns;
-  if (columns.empty()) {
-    for (size_t i = 0; i < table->num_columns(); ++i) {
-      all_cols.push_back(table->column_name(i));
+  if (ctx->status().ok()) {
+    // Ordered merge: the rows and order a serial sort+limit yields.
+    std::vector<u64> order;
+    for (const auto& heap : heaps) {
+      order.insert(order.end(), heap.begin(), heap.end());
     }
-    out_cols = &all_cols;
-  }
-  if (ctx->accounting_enabled()) {
-    Status charge = ctx->ReserveMemory(
-        "alloc/sort", (sel.size() + 1) * out_cols->size() * sizeof(u64));
-    if (!charge.ok()) {
-      ctx->Fail(std::move(charge));
-      result.table = nullptr;
-      result.status = ctx->status();
-      result.reason = ReasonFromStatus(result.status);
-      FinishTimings(t0, t_exec, &result);
-      return result;
+    std::sort(order.begin(), order.end(), less);
+    if (order.size() > limit) order.resize(limit);
+
+    std::vector<sel_t> sel(order.begin(), order.end());
+    std::vector<std::string> out_cols = columns;
+    for (size_t i = 0; columns.empty() && i < table->num_columns(); ++i) {
+      out_cols.push_back(table->column_name(i));
+    }
+    // A refused charge has already failed the query.
+    if (!ctx->accounting_enabled() ||
+        ctx->ReserveMemory("alloc/sort", (sel.size() + 1) *
+                                             out_cols.size() * sizeof(u64))
+            .ok()) {
+      result.table = std::make_unique<Table>("result");
+      for (const std::string& name : out_cols) {
+        const Column* src = table->FindColumn(name);
+        MA_CHECK(src != nullptr);
+        Column* dst = result.table->AddColumn(name, src->type());
+        AppendGatherColumn(*src, sel.data(), sel.size(), dst);
+      }
+      result.table->set_row_count(sel.size());
+      result.rows_emitted = sel.size();
     }
   }
-  for (const std::string& name : *out_cols) {
-    const Column* src = table->FindColumn(name);
-    MA_CHECK(src != nullptr);
-    Column* dst = result.table->AddColumn(name, src->type());
-    AppendGatherColumn(*src, sel.data(), sel.size(), dst);
-  }
-  result.table->set_row_count(sel.size());
-  result.rows_emitted = sel.size();
 
-  FinishTimings(t0, t_exec, &result);
+  FinishRun(t0, t_exec, &result);
   return result;
 }
 

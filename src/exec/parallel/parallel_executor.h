@@ -10,7 +10,7 @@
 // pipeline over a MorselScanOperator leaf. The only shared, mutable
 // object during execution is the morsel queue (one mutex interaction
 // per ~64 vectors); kernel dispatch stays free of atomics and locks.
-// After a phase the per-thread profiles are merged into one report
+// MergedProfile() merges the per-thread profiles into one report
 // (adapt/profile_merge.h), preserving per-thread winners — under
 // asymmetric load, threads legitimately converge to different flavors.
 //
@@ -70,14 +70,14 @@ class ParallelExecutor {
   using PipelineFactory =
       std::function<OperatorPtr(Engine*, OperatorPtr scan)>;
 
-  /// `engine_config` is cloned into every worker's engine. `dict` lets
-  /// tests run against a private primitive dictionary. `shared_pool`,
-  /// when non-null, is a ThreadPool owned by someone else (the
-  /// WorkloadServer serving many concurrent queries on one pool); the
-  /// executor then sizes itself to that pool and never destroys it.
-  /// One executor still runs ONE query at a time — the pool is the
-  /// multi-tenant piece, phases from concurrent executors interleave on
-  /// it task by task.
+  /// Builds one engine per pool thread from `engine_config`, kept for
+  /// every run. `dict` lets tests run against a private primitive
+  /// dictionary. `shared_pool`, when non-null, is a ThreadPool owned by
+  /// someone else (the WorkloadServer serving many concurrent queries on
+  /// one pool); the executor then sizes itself to that pool and never
+  /// destroys it. One executor still runs ONE query at a time — the pool
+  /// is the multi-tenant piece, phases from concurrent executors
+  /// interleave on it task by task.
   explicit ParallelExecutor(
       EngineConfig engine_config = EngineConfig(),
       ParallelConfig parallel_config = ParallelConfig(),
@@ -134,6 +134,8 @@ class ParallelExecutor {
     std::vector<HashAggOperator::GroupKey> group_keys;
     std::vector<std::string> group_outputs;
     std::vector<HashAggOperator::AggSpec> aggs;
+    /// Instance label prefix: the plan's GroupBy label, one site each.
+    std::string label = "parallel/agg";
   };
   RunResult RunAgg(const Table* table,
                    std::vector<std::string> scan_columns,
@@ -155,39 +157,58 @@ class ParallelExecutor {
                     const std::vector<SortKey>& keys, size_t limit,
                     const StageHints& hints = StageHints());
 
-  /// Per-worker engines of the most recent run (index = worker id) —
-  /// each holds that thread's PrimitiveInstances and bandit state.
+  /// Per-worker engines (index = worker id) — each holds that thread's
+  /// PrimitiveInstances and bandit state since the last ResetProfile().
   const std::vector<std::unique_ptr<Engine>>& engines() const {
     return engines_;
   }
 
-  /// The query context governing runs — never null. Mirrors
-  /// Engine::set_context: null restores the private fallback, which
-  /// each run resets, so an ungoverned executor stays self-contained.
+  /// Engine::ResetProfile() on every worker engine.
+  void ResetProfile() {
+    for (const auto& eng : engines_) eng->ResetProfile();
+  }
+
+  /// The query context governing runs and worker engines — never null.
+  /// Mirrors Engine::set_context: null restores the private fallback,
+  /// which each run resets.
   QueryContext* context() const { return context_; }
   void set_context(QueryContext* ctx) {
     context_ = ctx != nullptr ? ctx : &own_context_;
+    for (const auto& eng : engines_) eng->set_context(context_);
   }
 
-  /// Installs (or clears, with null) warm-start priors for subsequent
-  /// runs: worker engines are rebuilt from engine_config_ at the start
-  /// of every run, so the snapshot reaches them on the next Run.
-  void set_warm_start(std::shared_ptr<const WarmStartSnapshot> ws) {
-    engine_config_.warm_start = std::move(ws);
+  /// Engine::set_warm_start on every worker engine: the instances the
+  /// next run creates are seeded, existing ones are unchanged.
+  void set_warm_start(const std::shared_ptr<const WarmStartSnapshot>& ws) {
+    for (const auto& eng : engines_) eng->set_warm_start(ws);
   }
 
-  /// Profiles of the most recent run, merged across workers by label.
+  /// Profiles since the last ResetProfile(), merged across workers.
   std::vector<InstanceProfile> MergedProfile() const;
 
  private:
-  /// The per-worker drain of RunPipeline and BuildJoin. Each hinted
-  /// worker opens `factory`'s pipeline over a morsel scan of `table` and
-  /// pulls it dry, charging every live batch to `site` when accounting
-  /// (its bytes plus `row_bytes` per live row) and handing it to
-  /// `fill(batch, slot)` with the slot of the morsel it came from. A morsel is processed by exactly one worker, so
-  /// workers never write the same slot, and reading the slots in index
+  /// Starts a run: resets the private fallback context, notes the
+  /// primitive cycles of earlier runs, and returns the run's context.
+  QueryContext* BeginRun(const char* fault_site);
+  /// The epilogue of every run: status and reason from the context (a
+  /// failed run drops its table), execute = [t0, t_exec), this run's
+  /// primitive cycles, postprocess = [t_exec, now), and the wall total.
+  void FinishRun(u64 t0, u64 t_exec, RunResult* result) const;
+  /// The per-worker loop of every pipeline runner: splits `table` into
+  /// morsels (their count goes to `split`); each hinted worker, until
+  /// the query stops, builds `factory`'s pipeline over its morsel scan
+  /// and hands `work(w, root, scan_leaf)` the unopened root.
+  template <typename Split, typename Work>
+  void RunWorkers(QueryContext* ctx, const Table* table,
+                  const std::vector<std::string>& scan_columns,
+                  const PipelineFactory& factory, const StageHints& hints,
+                  Split split, Work work);
+  /// The per-worker drain of RunPipeline and BuildJoin: each worker
+  /// pulls its pipeline dry, charging every live batch to `site` when
+  /// accounting (its bytes plus `row_bytes` per live row) and handing it
+  /// to `fill(batch, slot)` with the slot of the morsel it came from.
+  /// One worker processes each morsel, and reading the slots in index
   /// order makes the result independent of thread count and stealing.
-  /// Failures land on `ctx`.
   template <typename Slot, typename Fill>
   std::vector<Slot> DrainPerMorsel(
       QueryContext* ctx, const Table* table,
@@ -198,24 +219,15 @@ class ParallelExecutor {
   /// count actually running this stage and the morsel size to split by.
   int ResolveWorkers(const StageHints& hints) const;
   u64 ResolveMorselSize(const StageHints& hints) const;
-  /// Fresh per-worker engines for a new run, all governed by the active
-  /// context (which is reset first when it is the private fallback).
-  /// Returns the context every phase of the run must poll.
-  QueryContext* ResetEngines();
   /// Sum of primitive cycles across all worker engines.
   u64 TotalPrimitiveCycles() const;
-  /// The timing epilogue of every run: execute = [t0, t_exec), the
-  /// worker engines' primitive cycles, postprocess = [t_exec, now),
-  /// and the wall total in cycles and seconds.
-  void FinishTimings(u64 t0, u64 t_exec, RunResult* result) const;
 
-  EngineConfig engine_config_;
   ParallelConfig parallel_config_;
-  PrimitiveDictionary* dict_;
   std::unique_ptr<ThreadPool> owned_pool_;  // null when pool is shared
   ThreadPool* pool_ = nullptr;
   std::string task_tag_;
   std::vector<std::unique_ptr<Engine>> engines_;
+  u64 primitives_before_run_ = 0;  // set by BeginRun
   QueryContext own_context_;
   QueryContext* context_ = &own_context_;
 };

@@ -548,8 +548,10 @@ PlanBuilder& PlanBuilder::GroupBy(
     std::vector<std::string> group_outputs,
     std::vector<HashAggOperator::AggSpec> aggs, std::string label) {
   if (!Active()) return *this;
-  if (group_keys.empty() && aggs.empty()) {
-    Fail("GroupBy needs a group key or an aggregate");
+  // Without keys there is one global group and no key to decode a group
+  // output from (its first-seen value would follow the scan order).
+  if (group_keys.empty() && (aggs.empty() || !group_outputs.empty())) {
+    Fail("GroupBy without group keys needs aggregates and no outputs");
     return *this;
   }
   int total_bits = 0;

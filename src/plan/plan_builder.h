@@ -103,10 +103,10 @@ class PlanBuilder {
   /// widths summing to <= 63. Emits `group_outputs` (a group key's value,
   /// or any other column's first-seen value per group) then one column
   /// per aggregate. Keys without aggregates make a DISTINCT; a GroupBy
-  /// with neither is rejected. f64 SUM/AVG aggregates
-  /// accumulate in 128-bit fixed point (order-independent), so compiled
-  /// plans produce bit-identical results under serial and parallel
-  /// execution at any thread count.
+  /// with neither, or with group outputs but no keys, is rejected. f64
+  /// SUM/AVG aggregates accumulate in 128-bit fixed point
+  /// (order-independent), so compiled plans produce bit-identical
+  /// results under serial and parallel execution at any thread count.
   PlanBuilder& GroupBy(std::vector<HashAggOperator::GroupKey> group_keys,
                        std::vector<std::string> group_outputs,
                        std::vector<HashAggOperator::AggSpec> aggs,

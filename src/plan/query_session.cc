@@ -63,6 +63,9 @@ RunResult QuerySession::Run(const LogicalPlan& plan, ExecMode mode,
     own_context_.Reset();
     ctx = &own_context_;
   }
+  // The one reset point: Profile() covers this run on every engine.
+  engine_.ResetProfile();
+  if (parallel_ != nullptr) parallel_->ResetProfile();
   last_run_parallel_ = false;
   if (!plan.ok()) {
     ctx->Fail(plan.status.ok() ? Status::InvalidArgument("empty plan")
@@ -111,7 +114,6 @@ RunResult QuerySession::Run(const LogicalPlan& plan, ExecMode mode,
 
 RunResult QuerySession::RunSerial(const LogicalPlan& plan,
                                  QueryContext* ctx) {
-  engine_.ResetProfile();
   engine_.set_context(ctx);
   RunResult r;
   OperatorPtr root = Compiler::CompileSerial(plan, &engine_);
@@ -151,8 +153,7 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
       config_.macro.enabled ? config_.macro.book.get() : nullptr,
       site_prefix, sp.stages.size(), parallel_->num_threads(),
       config_.parallel.morsel_size);
-  engine_.ResetProfile();  // sort and merge stages run here
-  engine_.set_context(ctx);
+  engine_.set_context(ctx);  // sort and merge stages run here
   parallel_->set_context(ctx);
   // Whatever way this run ends, the next query must find pristine
   // executors: drop the context bindings on every exit path.
@@ -252,7 +253,8 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
         finish(stage, parallel_->RunAgg(
                           table, columns, fragment(stage),
                           {stage.agg->group_keys, stage.agg->group_outputs,
-                           CloneAggs(stage.agg->aggs, bindings)},
+                           CloneAggs(stage.agg->aggs, bindings),
+                           stage.agg->label},
                           strategies.Decide(stage.id, false)));
         break;
       case Stage::Kind::kSort: {
@@ -319,12 +321,13 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
 }
 
 std::vector<InstanceProfile> QuerySession::Profile() const {
-  if (last_run_parallel_ && parallel_ != nullptr) {
-    return parallel_->MergedProfile();
-  }
   std::vector<const PrimitiveInstance*> instances;
-  for (const auto& inst : engine_.instances()) {
-    instances.push_back(inst.get());
+  auto add = [&instances](const Engine& engine) {
+    for (const auto& i : engine.instances()) instances.push_back(i.get());
+  };
+  add(engine_);
+  if (parallel_ != nullptr) {
+    for (const auto& worker : parallel_->engines()) add(*worker);
   }
   return MergeInstanceProfiles(instances);
 }

@@ -115,10 +115,10 @@ class QuerySession {
   /// steer flavor choice, never results (see adapt/warm_start.h).
   void set_warm_start(std::shared_ptr<const WarmStartSnapshot> priors);
 
-  /// Per-plan-site profile of the last run: merged across worker
-  /// threads after a parallel run (per-thread winners preserved, most
-  /// recent parallel stage), straight from the engine after a serial
-  /// run.
+  /// Per-plan-site profile of the last run over every stage: the
+  /// session engine (serial runs; staged sort and merge-join stages)
+  /// and every worker engine (staged parallel stages), merged by label
+  /// with per-thread winners preserved.
   std::vector<InstanceProfile> Profile() const;
 
  private:

@@ -911,5 +911,47 @@ TEST(ParallelProfileTest, MergedProfileAggregatesAcrossWorkers) {
   EXPECT_FALSE(sel->MostUsedFlavor().empty());
 }
 
+TEST(ParallelProfileTest, ReusedExecutorReportsEachRunsOwnPrimitives) {
+  // Worker engines live as long as the executor: a second run adds its
+  // instances next to the first run's, and each run's RunResult counts
+  // only the primitive cycles it spent.
+  auto table = MakeNumbersTable(32 * 1024);
+  ParallelConfig pcfg;
+  pcfg.num_threads = 2;
+  pcfg.morsel_size = 2048;
+  ParallelExecutor exec{EngineConfig(), pcfg};
+  auto engine_cycles = [&exec] {
+    u64 total = 0;
+    for (const auto& eng : exec.engines()) total += eng->TotalPrimitiveCycles();
+    return total;
+  };
+  auto select_calls = [&exec] {
+    for (const InstanceProfile& p : exec.MergedProfile()) {
+      if (p.signature == "sel_lt_i64_col_i64_val") return p.calls;
+    }
+    return u64{0};
+  };
+  const u64 per_run_calls = 32u * 1024 / kDefaultVectorSize;
+
+  const RunResult first =
+      exec.RunPipeline(table.get(), {"a", "x"}, SelectProjectFactory());
+  ASSERT_TRUE(first.ok());
+  const u64 after_first = engine_cycles();
+  EXPECT_GT(first.stages.primitives, 0u);
+  EXPECT_EQ(first.stages.primitives, after_first);
+  EXPECT_EQ(select_calls(), per_run_calls);
+
+  const RunResult second =
+      exec.RunPipeline(table.get(), {"a", "x"}, SelectProjectFactory());
+  ASSERT_TRUE(second.ok());
+  EXPECT_GT(second.stages.primitives, 0u);
+  EXPECT_EQ(second.stages.primitives, engine_cycles() - after_first);
+  EXPECT_EQ(select_calls(), 2 * per_run_calls);
+
+  exec.ResetProfile();
+  for (const auto& eng : exec.engines()) EXPECT_TRUE(eng->instances().empty());
+  EXPECT_TRUE(exec.MergedProfile().empty());
+}
+
 }  // namespace
 }  // namespace ma

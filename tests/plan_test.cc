@@ -450,22 +450,36 @@ TEST(PlanParityTest, DistinctIsAGroupByWithoutAggregates) {
   }
 }
 
-TEST(PlanBuilderTest, GroupByWithoutKeysOrAggregatesIsRejected) {
-  // Neither a key nor an aggregate defines no row: the builder rejects
-  // it, and running the plan returns the typed error on both paths.
-  auto t = MakeNumbersTable(64);
-  for (const std::vector<std::string>& outputs :
-       {std::vector<std::string>{}, std::vector<std::string>{"g"}}) {
-    const LogicalPlan plan = PlanBuilder::Scan(t.get(), {"g", "x"})
-                                 .GroupBy({}, outputs, {})
-                                 .Build();
-    EXPECT_FALSE(plan.ok());
-    EXPECT_EQ(plan.status.code(), StatusCode::kInvalidArgument);
-    for (const ExecMode mode : {ExecMode::kSerial, ExecMode::kParallel}) {
-      QuerySession session{SessionConfig{}};
-      const RunResult r = session.Run(plan, mode);
-      EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
-      EXPECT_EQ(r.table, nullptr);
+TEST(PlanBuilderTest, KeylessGroupByNeedsAggregatesAndNoOutputs) {
+  // Neither a key nor an aggregate defines no row, and a key-less
+  // GroupBy has no key to decode a group output from: the builder
+  // rejects both, and running the plan returns the typed error on both
+  // paths — over an empty input too, where the one global row would
+  // lack the group output.
+  auto t = MakeNumbersTable(0);
+  for (const bool with_sum : {false, true}) {
+    for (const std::vector<std::string>& outputs :
+         {std::vector<std::string>{}, std::vector<std::string>{"g"}}) {
+      if (with_sum && outputs.empty()) continue;  // a global aggregate
+      std::vector<HashAggOperator::AggSpec> aggs;
+      if (with_sum) {
+        HashAggOperator::AggSpec a;
+        a.fn = "sum";
+        a.arg = Col("x");
+        a.out_name = "sum_x";
+        aggs.push_back(std::move(a));
+      }
+      const LogicalPlan plan = PlanBuilder::Scan(t.get(), {"g", "x"})
+                                   .GroupBy({}, outputs, std::move(aggs))
+                                   .Build();
+      EXPECT_FALSE(plan.ok());
+      EXPECT_EQ(plan.status.code(), StatusCode::kInvalidArgument);
+      for (const ExecMode mode : {ExecMode::kSerial, ExecMode::kParallel}) {
+        QuerySession session{SessionConfig{}};
+        const RunResult r = session.Run(plan, mode);
+        EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(r.table, nullptr);
+      }
     }
   }
 }

@@ -10,8 +10,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <set>
+#include <string>
 
 #include "knowledge/plan_cache.h"
+#include "knowledge/profile_store.h"
 #include "plan/query_session.h"
 #include "table_fingerprint.h"
 #include "tpch_golden_fingerprints.h"
@@ -400,6 +403,153 @@ TEST_F(StagedQueriesTest, Q17ByteIdenticalStaged) {
 
 TEST_F(StagedQueriesTest, Q22ByteIdenticalStaged) {
   ExpectStagedParity(Q22Plan(*data_), "Q22");
+}
+
+// --- staged profile coverage: every stage of the query, every engine ---
+
+/// The plan nodes lowered into `stage`'s per-worker fragment: the chain
+/// from its root down to its leaf, following the probe side of hash
+/// joins (build sides are stages of their own), plus its GroupBy.
+/// Subtrees that CSE folded into another stage's output appear in no
+/// fragment.
+std::vector<const plan::PlanNode*> FragmentNodes(const plan::Stage& stage) {
+  std::vector<const plan::PlanNode*> nodes;
+  if (stage.agg != nullptr) nodes.push_back(stage.agg);
+  for (const plan::PlanNode* n = stage.root; n != nullptr && n != stage.stop;
+       n = n->kind == plan::NodeKind::kHashJoin ? n->children[1].get()
+           : n->children.empty()                ? nullptr
+                                                : n->children[0].get()) {
+    nodes.push_back(n);
+  }
+  return nodes;
+}
+
+/// The plan sites a staged run must profile: the insert-check of every
+/// keyed GroupBy and the probe, semi or anti primitive of every hash
+/// join that some stage runs.
+std::set<std::string> RequiredSites(const plan::StagePlan& sp) {
+  std::set<std::string> sites;
+  for (const plan::Stage& stage : sp.stages) {
+    for (const plan::PlanNode* n : FragmentNodes(stage)) {
+      if (n->kind == plan::NodeKind::kGroupBy && !n->group_keys.empty()) {
+        sites.insert(n->label + "/insertcheck");
+      } else if (n->kind == plan::NodeKind::kHashJoin) {
+        switch (n->hash_spec.kind) {
+          case HashJoinSpec::Kind::kSemi:
+            sites.insert(n->label + "/semi");
+            break;
+          case HashJoinSpec::Kind::kAnti:
+            sites.insert(n->label + "/anti");
+            break;
+          default:
+            sites.insert(n->label + "/probe");
+        }
+      }
+    }
+  }
+  return sites;
+}
+
+std::set<std::string> ProfileLabels(const plan::QuerySession& session) {
+  std::set<std::string> labels;
+  for (const ma::InstanceProfile& p : session.Profile()) labels.insert(p.label);
+  return labels;
+}
+
+plan::SessionConfig StagedConfig(int threads) {
+  plan::SessionConfig cfg;
+  cfg.parallel.num_threads = threads;
+  cfg.parallel.morsel_size = 4096;
+  return cfg;
+}
+
+TEST_F(StagedQueriesTest, StagedProfileCoversEveryStage) {
+  size_t required_sites = 0;
+  for (int q = 1; q <= kNumQueries; ++q) {
+    const plan::LogicalPlan plan = PlanForQuery(*data_, q);
+    plan::QuerySession serial;
+    ASSERT_TRUE(serial.Run(plan, plan::ExecMode::kSerial).ok());
+    const std::set<std::string> serial_labels = ProfileLabels(serial);
+    plan::StagePlan sp;
+    ASSERT_TRUE(plan::Compiler::BuildStagePlan(plan, &sp).ok());
+    const std::set<std::string> required = RequiredSites(sp);
+    required_sites += required.size();
+    for (const int threads : {1, 2, 4}) {
+      plan::QuerySession session{StagedConfig(threads)};
+      const RunResult r = session.Run(plan, plan::ExecMode::kParallel);
+      ASSERT_TRUE(r.ok()) << "Q" << q << ": " << r.status.ToString();
+      ASSERT_TRUE(session.last_run_parallel());
+      // Staged sites are the serial plan's sites: the same labels,
+      // merged across workers.
+      const std::set<std::string> labels = ProfileLabels(session);
+      for (const std::string& label : labels) {
+        EXPECT_TRUE(serial_labels.count(label))
+            << "Q" << q << " at " << threads << " threads: staged-only site "
+            << label;
+      }
+      for (const std::string& site : required) {
+        EXPECT_TRUE(labels.count(site))
+            << "Q" << q << " at " << threads << " threads: no profile for "
+            << site;
+      }
+      // The profile holds exactly the primitive cycles the stages
+      // report, so no stage's instances are missing from it.
+      u64 profiled = 0;
+      for (const ma::InstanceProfile& p : session.Profile()) {
+        profiled += p.cycles;
+      }
+      EXPECT_EQ(profiled, r.stages.primitives)
+          << "Q" << q << " at " << threads << " threads";
+    }
+  }
+  EXPECT_GT(required_sites, 50u);
+}
+
+/// True when `label` is a primitive site of a node in `stage`'s fragment.
+bool InStageFragment(const plan::Stage& stage, const std::string& label) {
+  for (const plan::PlanNode* n : FragmentNodes(stage)) {
+    if (label.starts_with(n->label + "/")) return true;
+  }
+  return false;
+}
+
+TEST_F(StagedQueriesTest, StagedProfileWarmStartsTheFirstStage) {
+  // A staged run's profile, merged into a store, seeds the instances of
+  // the plan's first stage in a fresh warm-started session — the stage
+  // a profile of only the last parallel stage would leave cold.
+  int queries_with_first_stage_sites = 0;
+  for (int q = 1; q <= kNumQueries; ++q) {
+    const plan::LogicalPlan plan = PlanForQuery(*data_, q);
+    plan::StagePlan sp;
+    ASSERT_TRUE(plan::Compiler::BuildStagePlan(plan, &sp).ok());
+    const plan::Stage& first = sp.stages.front();
+
+    knowledge::ProfileStore store;
+    plan::QuerySession cold{StagedConfig(2)};
+    ASSERT_TRUE(cold.Run(plan, plan::ExecMode::kParallel).ok());
+    store.Merge(cold.Profile());
+    const std::shared_ptr<const WarmStartSnapshot> snap = store.Snapshot();
+
+    plan::QuerySession warm{StagedConfig(2)};
+    warm.set_warm_start(snap);
+    ASSERT_TRUE(warm.Run(plan, plan::ExecMode::kParallel).ok());
+    ASSERT_TRUE(warm.last_run_parallel());
+    bool has_sites = false;
+    bool seeded = false;
+    for (const auto& engine : warm.parallel_executor()->engines()) {
+      for (const auto& inst : engine->instances()) {
+        if (!InStageFragment(first, inst->label())) continue;
+        has_sites = true;
+        seeded |= snap->Find(inst->label(), inst->entry()->signature) !=
+                  nullptr;
+      }
+    }
+    if (!has_sites) continue;
+    ++queries_with_first_stage_sites;
+    EXPECT_TRUE(seeded) << "Q" << q << ": no first-stage instance ("
+                        << first.label << ") was warm-started";
+  }
+  EXPECT_GT(queries_with_first_stage_sites, 10);
 }
 
 // --- golden fingerprints: results pinned against a checked-in table ---
