@@ -84,6 +84,7 @@
 #include "exec/parallel/parallel_executor.h"
 #include "plan/query_session.h"
 #include "serve/workload_server.h"
+#include "storage/table_fingerprint.h"
 #include "tpch/dbgen.h"
 #include "tpch/plans.h"
 
@@ -101,59 +102,6 @@ ParallelExecutor::PipelineFactory Table1Factory() {
                                              std::move(outs),
                                              "t1/project");
   };
-}
-
-u64 ResultFingerprint(const Table& t) {
-  u64 h = 1469598103934665603ULL;
-  auto mix = [&h](u64 v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  };
-  mix(t.row_count());
-  for (size_t c = 0; c < t.num_columns(); ++c) {
-    const Column* col = t.column(c);
-    for (size_t i = 0; i < col->size(); ++i) {
-      mix(static_cast<u64>(col->Get<i64>(i)));
-    }
-  }
-  return h;
-}
-
-/// Bit-exact fingerprint over all column types (f64 by bit pattern) for
-/// the plan-layer section, where full byte identity is the contract.
-u64 BitFingerprint(const Table& t) {
-  u64 h = 1469598103934665603ULL;
-  auto mix = [&h](u64 v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  };
-  mix(t.row_count());
-  mix(t.num_columns());
-  for (size_t c = 0; c < t.num_columns(); ++c) {
-    const Column* col = t.column(c);
-    for (size_t i = 0; i < col->size(); ++i) {
-      switch (col->type()) {
-        case PhysicalType::kI64:
-          mix(static_cast<u64>(col->Get<i64>(i)));
-          break;
-        case PhysicalType::kF64: {
-          const f64 v = col->Get<f64>(i);
-          u64 bits;
-          std::memcpy(&bits, &v, sizeof(bits));
-          mix(bits);
-          break;
-        }
-        case PhysicalType::kStr:
-          for (const char ch : col->Get<StrRef>(i).view()) {
-            mix(static_cast<u8>(ch));
-          }
-          break;
-        default:
-          break;
-      }
-    }
-  }
-  return h;
 }
 
 /// CI smoke mode: MA_BENCH_SHORT=1 shrinks scale factor and reps so
@@ -229,7 +177,7 @@ bool RunPlanQueries(std::vector<NamedPlan> queries, int cores,
           serial_session.Run(q.plan, plan::ExecMode::kSerial);
       return serial_result.seconds;
     });
-    const u64 serial_fp = BitFingerprint(*serial_result.table);
+    const u64 serial_fp = ExactFingerprint(*serial_result.table);
     std::printf("%-6s %-8s %12.6f %9.2fx %10llu %10s\n", q.name, "serial",
                 serial_seconds, 1.0,
                 static_cast<unsigned long long>(serial_result.rows_emitted),
@@ -256,7 +204,7 @@ bool RunPlanQueries(std::vector<NamedPlan> queries, int cores,
       });
       MA_CHECK(session.last_run_parallel());
       const bool identical =
-          BitFingerprint(*result.table) == serial_fp &&
+          ExactFingerprint(*result.table) == serial_fp &&
           result.rows_emitted == serial_result.rows_emitted;
       all_identical = all_identical && identical;
       const f64 speedup = serial_seconds / seconds;
@@ -324,7 +272,7 @@ bool RunGovernanceOverhead(std::vector<NamedPlan> queries, int cores,
       MA_CHECK(governed.ok());
 
       const bool identical =
-          BitFingerprint(*governed.table) == BitFingerprint(*plain.table);
+          ExactFingerprint(*governed.table) == ExactFingerprint(*plain.table);
       const f64 plain_seconds = t.median_a;
       const f64 governed_seconds = t.median_b;
       const f64 overhead_pct = (t.median_ratio - 1.0) * 100.0;
@@ -377,7 +325,7 @@ bool RunServeSection(const tpch::TpchData& data, int cores,
       plans.push_back(tpch::PlanForQuery(data, q));
       RunResult r = baseline.Run(plans.back(), plan::ExecMode::kSerial);
       MA_CHECK(r.ok());
-      serial_fp.push_back(BitFingerprint(*r.table));
+      serial_fp.push_back(ExactFingerprint(*r.table));
     }
   }
   bool serve_clean = true;
@@ -410,7 +358,7 @@ bool RunServeSection(const tpch::TpchData& data, int cores,
         for (auto& [i, h] : handles) {
           const serve::QueryResult& qr = h.Wait();
           if (qr.run.ok() && qr.run.table != nullptr &&
-              BitFingerprint(*qr.run.table) == serial_fp[i]) {
+              ExactFingerprint(*qr.run.table) == serial_fp[i]) {
             ok.fetch_add(1);
           } else {
             bad.fetch_add(1);
@@ -478,7 +426,7 @@ bool RunServeSection(const tpch::TpchData& data, int cores,
                 qr.attempts == 0;
       } else if (qr.run.ok() && qr.run.table != nullptr) {
         ++completed;
-        guard = guard && BitFingerprint(*qr.run.table) == serial_fp[q1];
+        guard = guard && ExactFingerprint(*qr.run.table) == serial_fp[q1];
       } else {
         guard = false;  // nothing but success or kRejected is possible
       }
@@ -529,7 +477,7 @@ bool RunKnowledgeSection(const tpch::TpchData& data, int cores,
       plans.push_back(tpch::PlanForQuery(data, q));
       RunResult r = baseline.Run(plans.back(), plan::ExecMode::kSerial);
       MA_CHECK(r.ok());
-      serial_fp.push_back(BitFingerprint(*r.table));
+      serial_fp.push_back(ExactFingerprint(*r.table));
     }
   }
   const std::string store_path = "BENCH_scaling_knowledge_store.bin";
@@ -561,7 +509,7 @@ bool RunKnowledgeSection(const tpch::TpchData& data, int cores,
       for (size_t i = 0; i < handles.size(); ++i) {
         const serve::QueryResult& qr = handles[i].Wait();
         clean = clean && qr.run.ok() && qr.run.table != nullptr &&
-                BitFingerprint(*qr.run.table) == serial_fp[i];
+                ExactFingerprint(*qr.run.table) == serial_fp[i];
       }
     }
     const f64 seconds =
@@ -661,7 +609,7 @@ bool RunStrategySection(const tpch::TpchData& data, int cores,
       plans.push_back(tpch::PlanForQuery(data, q));
       RunResult r = baseline.Run(plans.back(), plan::ExecMode::kSerial);
       MA_CHECK(r.ok());
-      serial_fp.push_back(BitFingerprint(*r.table));
+      serial_fp.push_back(ExactFingerprint(*r.table));
     }
   }
   const std::string store_path = "BENCH_scaling_strategy_store.bin";
@@ -697,7 +645,7 @@ bool RunStrategySection(const tpch::TpchData& data, int cores,
       for (size_t i = 0; i < handles.size(); ++i) {
         const serve::QueryResult& qr = handles[i].Wait();
         clean = clean && qr.run.ok() && qr.run.table != nullptr &&
-                BitFingerprint(*qr.run.table) == serial_fp[i];
+                ExactFingerprint(*qr.run.table) == serial_fp[i];
       }
     }
     const f64 seconds =
@@ -820,7 +768,7 @@ int Run() {
     std::nth_element(samples.begin(), samples.begin() + reps / 2,
                      samples.end());
     const f64 seconds = samples[static_cast<size_t>(reps / 2)];
-    const u64 fingerprint = ResultFingerprint(*result.table);
+    const u64 fingerprint = ExactFingerprint(*result.table);
 
     if (threads == 1) {
       base_seconds = seconds;

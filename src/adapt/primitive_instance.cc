@@ -49,7 +49,6 @@ PrimitiveInstance::PrimitiveInstance(const FlavorEntry* entry,
                              static_cast<int>(flavors_.size()),
                              config.params);
         chunk_max_ = config.chunk_max > 0 ? config.chunk_max : 1;
-        chunk_adaptive_ = config.chunk_adaptive;
       }
       fixed_index_ = 0;
       break;
@@ -125,9 +124,7 @@ void PrimitiveInstance::Record(int flavor, size_t produced, u64 tuples,
     // itself keep choosing that flavor.
     if (chunk_max_ > 1) {
       if (policy_->ExploitationStable(flavor)) {
-        if (!chunk_adaptive_) {
-          chunk_k_ = chunk_max_;
-        } else if (flavor == last_decision_flavor_) {
+        if (flavor == last_decision_flavor_) {
           // Same winner re-elected while stable: the regime is calm,
           // double the untimed stretch (up to the cap).
           chunk_k_ = std::min(chunk_k_ * 2, chunk_max_);

@@ -71,9 +71,6 @@ struct AdaptiveConfig {
   /// chunks only ever cover calm regimes. chunk_max = 1 disables
   /// chunking (classic per-call adaptivity).
   u64 chunk_max = 1;
-  /// false pins K at chunk_max whenever the policy is stable (the fixed-K
-  /// behavior), for experiments that need an exact timing cadence.
-  bool chunk_adaptive = true;
 };
 
 class PrimitiveInstance {
@@ -217,7 +214,6 @@ class PrimitiveInstance {
   HeuristicParams heuristic_params_;
 
   u64 chunk_max_ = 1;
-  bool chunk_adaptive_ = true;
   /// Current chunk length K; grows geometrically while the same flavor
   /// keeps winning stable decisions, resets to 1 on a regime change.
   u64 chunk_k_ = 1;

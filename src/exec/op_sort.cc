@@ -1,6 +1,8 @@
 #include "exec/op_sort.h"
 
 #include <algorithm>
+#include <numeric>
+#include <type_traits>
 
 namespace ma {
 
@@ -9,36 +11,46 @@ bool SortRowsLess(const std::vector<const Column*>& key_cols,
   for (size_t k = 0; k < keys.size(); ++k) {
     const Column* c = key_cols[k];
     int r = 0;
-    switch (c->type()) {
-      case PhysicalType::kI16:
-        r = (c->Data<i16>()[a] > c->Data<i16>()[b]) -
-            (c->Data<i16>()[a] < c->Data<i16>()[b]);
-        break;
-      case PhysicalType::kI32:
-        r = (c->Data<i32>()[a] > c->Data<i32>()[b]) -
-            (c->Data<i32>()[a] < c->Data<i32>()[b]);
-        break;
-      case PhysicalType::kI64:
-        r = (c->Data<i64>()[a] > c->Data<i64>()[b]) -
-            (c->Data<i64>()[a] < c->Data<i64>()[b]);
-        break;
-      case PhysicalType::kF64:
-        r = (c->Data<f64>()[a] > c->Data<f64>()[b]) -
-            (c->Data<f64>()[a] < c->Data<f64>()[b]);
-        break;
-      case PhysicalType::kStr: {
-        const auto va = c->Data<StrRef>()[a].view();
-        const auto vb = c->Data<StrRef>()[b].view();
+    ForPhysicalType(c->type(), [&](auto tag) {
+      using T = decltype(tag);
+      const T* d = c->Data<T>();
+      if constexpr (std::is_same_v<T, StrRef>) {
+        const auto va = d[a].view();
+        const auto vb = d[b].view();
         r = (va > vb) - (va < vb);
-        break;
+      } else {
+        r = (d[a] > d[b]) - (d[a] < d[b]);
       }
-      default:
-        MA_CHECK(false);
-    }
+    });
     if (keys[k].desc) r = -r;
     if (r != 0) return r < 0;
   }
   return a < b;  // stable tiebreak
+}
+
+std::unique_ptr<Table> GatherRows(const Table& table,
+                                  const std::vector<std::string>& columns,
+                                  const std::vector<sel_t>& order,
+                                  QueryContext* ctx) {
+  std::vector<std::string> names = columns;
+  for (size_t i = 0; columns.empty() && i < table.num_columns(); ++i) {
+    names.push_back(table.column_name(i));
+  }
+  if (ctx->accounting_enabled() &&
+      !ctx->ReserveMemory("alloc/sort",
+                          (order.size() + 1) * names.size() * sizeof(u64))
+           .ok()) {
+    return nullptr;
+  }
+  auto out = std::make_unique<Table>("result");
+  for (const std::string& name : names) {
+    const Column* src = table.FindColumn(name);
+    MA_CHECK(src != nullptr);
+    AppendGatherColumn(*src, order.data(), order.size(),
+                       out->AddColumn(name, src->type()));
+  }
+  out->set_row_count(order.size());
+  return out;
 }
 
 SortOperator::SortOperator(Engine* engine, OperatorPtr child,
@@ -50,7 +62,7 @@ SortOperator::SortOperator(Engine* engine, OperatorPtr child,
 
 Status SortOperator::Open() {
   MA_RETURN_IF_ERROR(child_->Open());
-  buffer_ = std::make_unique<Table>("sort_buffer");
+  Table buffer("sort_buffer");
   Batch batch;
   QueryContext* ctx = engine_->context();
   const bool charged = ctx->accounting_enabled();
@@ -62,68 +74,31 @@ Status SortOperator::Open() {
       MA_RETURN_IF_ERROR(
           ctx->ReserveMemory("alloc/sort", ApproxBatchBytes(batch)));
     }
-    AppendBatchToTable(batch, buffer_.get());
+    AppendBatchToTable(batch, &buffer);
   }
-  order_.resize(buffer_->row_count());
-  for (size_t i = 0; i < order_.size(); ++i) order_[i] = i;
-  pos_ = 0;
-  if (buffer_->row_count() == 0) return Status::OK();
 
+  std::vector<sel_t> order(buffer.row_count());
+  std::iota(order.begin(), order.end(), sel_t{0});
   std::vector<const Column*> key_cols;
   for (const SortKey& k : keys_) {
-    const Column* c = buffer_->FindColumn(k.column);
-    MA_CHECK(c != nullptr);
+    const Column* c = buffer.FindColumn(k.column);
+    MA_CHECK(c != nullptr || order.empty());
     key_cols.push_back(c);
   }
   auto cmp = [&](u64 a, u64 b) { return SortRowsLess(key_cols, keys_, a, b); };
-  if (limit_ > 0 && limit_ < order_.size()) {
-    std::partial_sort(order_.begin(), order_.begin() + limit_,
-                      order_.end(), cmp);
-    order_.resize(limit_);
+  if (limit_ > 0 && limit_ < order.size()) {
+    std::partial_sort(order.begin(), order.begin() + limit_, order.end(),
+                      cmp);
+    order.resize(limit_);
   } else {
-    std::sort(order_.begin(), order_.end(), cmp);
+    std::sort(order.begin(), order.end(), cmp);
   }
-  pos_ = 0;
-  return Status::OK();
-}
 
-bool SortOperator::Next(Batch* out) {
-  if (pos_ >= order_.size()) return false;
-  const size_t n = std::min(engine_->vector_size(), order_.size() - pos_);
-  for (size_t col = 0; col < buffer_->num_columns(); ++col) {
-    const Column* src = buffer_->column(col);
-    auto dst = std::make_shared<Vector>(src->type(), n);
-    auto gather = [&](auto tag) {
-      using T = decltype(tag);
-      T* d = dst->template Data<T>();
-      const T* s = src->Data<T>();
-      for (size_t i = 0; i < n; ++i) d[i] = s[order_[pos_ + i]];
-    };
-    switch (src->type()) {
-      case PhysicalType::kI16:
-        gather(i16{});
-        break;
-      case PhysicalType::kI32:
-        gather(i32{});
-        break;
-      case PhysicalType::kI64:
-        gather(i64{});
-        break;
-      case PhysicalType::kF64:
-        gather(f64{});
-        break;
-      case PhysicalType::kStr:
-        gather(StrRef{});
-        break;
-      default:
-        MA_CHECK(false);
-    }
-    dst->set_size(n);
-    out->AddColumn(buffer_->column_name(col), std::move(dst));
-  }
-  out->set_row_count(n);
-  pos_ += n;
-  return true;
+  // The buffer is freed on return; the output scan views `sorted_`.
+  sorted_ = GatherRows(buffer, {}, order, ctx);
+  if (sorted_ == nullptr) return ctx->status();
+  scan_ = std::make_unique<ScanOperator>(engine_, sorted_.get());
+  return scan_->Open();
 }
 
 }  // namespace ma

@@ -111,9 +111,9 @@ void ParallelExecutor::RunWorkers(
   Status pool_status = pool_->Run([&](int w) {
     if (w >= workers || ctx->ShouldStop()) return;
     Engine* engine = engines_[w].get();
-    auto scan = std::make_unique<MorselScanOperator>(
-        engine, table, scan_columns, &queue, w);
-    const MorselScanOperator* scan_leaf = scan.get();
+    auto scan = std::make_unique<ScanOperator>(engine, table, scan_columns,
+                                               &queue, w);
+    const ScanOperator* scan_leaf = scan.get();
     work(w, factory(engine, std::move(scan)), *scan_leaf);
   }, task_tag_);
   if (!pool_status.ok()) ctx->Fail(std::move(pool_status));
@@ -130,7 +130,7 @@ std::vector<Slot> ParallelExecutor::DrainPerMorsel(
   RunWorkers(
       ctx, table, scan_columns, factory, hints,
       [&slots](size_t morsels) { slots.resize(morsels); },
-      [&](int, OperatorPtr root, const MorselScanOperator& scan_leaf) {
+      [&](int, OperatorPtr root, const ScanOperator& scan_leaf) {
         Status open = root->Open();
         if (!open.ok()) {
           ctx->Fail(std::move(open));
@@ -258,7 +258,7 @@ RunResult ParallelExecutor::RunAgg(const Table* table,
   std::vector<std::unique_ptr<HashAggOperator>> aggs(num_threads());
   RunWorkers(
       ctx, table, scan_columns, factory, hints, [](size_t) {},
-      [&](int w, OperatorPtr child, const MorselScanOperator&) {
+      [&](int w, OperatorPtr child, const ScanOperator&) {
         // Clone the plan: each worker owns its expression trees
         // (expression nodes anchor primitive instances).
         std::vector<HashAggOperator::AggSpec> specs;
@@ -362,33 +362,15 @@ RunResult ParallelExecutor::RunTopN(const Table* table,
   RunResult result;
   if (ctx->status().ok()) {
     // Ordered merge: the rows and order a serial sort+limit yields.
-    std::vector<u64> order;
+    std::vector<sel_t> order;
     for (const auto& heap : heaps) {
       order.insert(order.end(), heap.begin(), heap.end());
     }
     std::sort(order.begin(), order.end(), less);
     if (order.size() > limit) order.resize(limit);
 
-    std::vector<sel_t> sel(order.begin(), order.end());
-    std::vector<std::string> out_cols = columns;
-    for (size_t i = 0; columns.empty() && i < table->num_columns(); ++i) {
-      out_cols.push_back(table->column_name(i));
-    }
-    // A refused charge has already failed the query.
-    if (!ctx->accounting_enabled() ||
-        ctx->ReserveMemory("alloc/sort", (sel.size() + 1) *
-                                             out_cols.size() * sizeof(u64))
-            .ok()) {
-      result.table = std::make_unique<Table>("result");
-      for (const std::string& name : out_cols) {
-        const Column* src = table->FindColumn(name);
-        MA_CHECK(src != nullptr);
-        Column* dst = result.table->AddColumn(name, src->type());
-        AppendGatherColumn(*src, sel.data(), sel.size(), dst);
-      }
-      result.table->set_row_count(sel.size());
-      result.rows_emitted = sel.size();
-    }
+    result.table = GatherRows(*table, columns, order, ctx);
+    if (result.table != nullptr) result.rows_emitted = order.size();
   }
 
   FinishRun(t0, t_exec, &result);

@@ -7,9 +7,10 @@
 // seriously: every worker owns a full Engine — its own
 // PrimitiveInstances, bandit policies, adaptive chunk state, APHs and
 // scratch vectors — and builds its own operator-tree instance of the
-// pipeline over a MorselScanOperator leaf. The only shared, mutable
-// object during execution is the morsel queue (one mutex interaction
-// per ~64 vectors); kernel dispatch stays free of atomics and locks.
+// pipeline over a ScanOperator leaf that claims morsels. The only
+// shared, mutable object during execution is the morsel queue (one
+// mutex interaction per ~64 vectors); kernel dispatch stays free of
+// atomics and locks.
 // MergedProfile() merges the per-thread profiles into one report
 // (adapt/profile_merge.h), preserving per-thread winners — under
 // asymmetric load, threads legitimately converge to different flavors.
@@ -41,9 +42,9 @@
 #include "exec/engine.h"
 #include "exec/op_hash_agg.h"
 #include "exec/op_hash_join.h"
+#include "exec/op_scan.h"
 #include "exec/op_sort.h"
 #include "exec/parallel/morsel.h"
-#include "exec/parallel/morsel_scan.h"
 #include "exec/parallel/thread_pool.h"
 
 namespace ma {
@@ -146,7 +147,8 @@ class ParallelExecutor {
   /// bounded heap of the best `limit` row ids it has seen (ordered by
   /// SortRowsLess — the exact comparator SortOperator uses), the heaps
   /// merge and fully sort at the end, and the winning rows are gathered
-  /// into a fresh table. `columns` selects and orders the output
+  /// into a fresh table by GatherRows — SortOperator's gather too.
+  /// `columns` selects and orders the output
   /// columns (empty = all of `table`'s columns in table order). The
   /// heap comparison keys on row ids only through SortRowsLess's stable
   /// tiebreak, so the survivors — and therefore the output bytes — are

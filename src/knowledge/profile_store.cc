@@ -106,15 +106,15 @@ void ProfileStore::Merge(const std::vector<InstanceProfile>& profile) {
     sp.tuples += p.tuples;
     sp.cycles += p.cycles;
     for (const FlavorUsageProfile& f : p.flavors) {
-      StoredFlavor* row = nullptr;
-      for (StoredFlavor& sf : sp.flavors) {
+      FlavorUsageProfile* row = nullptr;
+      for (FlavorUsageProfile& sf : sp.flavors) {
         if (sf.flavor == f.flavor) {
           row = &sf;
           break;
         }
       }
       if (row == nullptr) {
-        sp.flavors.push_back(StoredFlavor{.flavor = f.flavor});
+        sp.flavors.push_back(FlavorUsageProfile{.flavor = f.flavor});
         row = &sp.flavors.back();
       }
       row->calls += f.calls;
@@ -136,7 +136,7 @@ std::shared_ptr<const WarmStartSnapshot> ProfileStore::Snapshot() const {
     auto snap = std::make_shared<WarmStartSnapshot>();
     for (const auto& [key, sp] : profiles_) {
       std::vector<FlavorPrior> priors;
-      for (const StoredFlavor& f : sp.flavors) {
+      for (const FlavorUsageProfile& f : sp.flavors) {
         if (f.timed_tuples == 0 || f.cycles == 0) continue;
         priors.push_back(
             {f.flavor, static_cast<f64>(f.cycles) /
@@ -231,7 +231,7 @@ std::string ProfileStore::Serialize() const {
     PutU64(&payload, sp.tuples);
     PutU64(&payload, sp.cycles);
     PutU32(&payload, static_cast<u32>(sp.flavors.size()));
-    for (const StoredFlavor& f : sp.flavors) {
+    for (const FlavorUsageProfile& f : sp.flavors) {
       PutStr(&payload, f.flavor);
       PutU64(&payload, f.calls);
       PutU64(&payload, f.tuples);
@@ -308,7 +308,7 @@ Status ProfileStore::Deserialize(std::string_view bytes) {
       return Status::InvalidArgument("knowledge store: truncated profile");
     }
     for (u32 f = 0; f < flavor_count; ++f) {
-      StoredFlavor sf;
+      FlavorUsageProfile sf;
       if (!r.Str(&sf.flavor) || !r.U64(&sf.calls) || !r.U64(&sf.tuples) ||
           !r.U64(&sf.cycles) || !r.U64(&sf.timed_tuples)) {
         return Status::InvalidArgument("knowledge store: truncated flavor");

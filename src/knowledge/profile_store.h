@@ -33,17 +33,6 @@
 
 namespace ma::knowledge {
 
-/// Cumulative usage of one flavor at one plan site, across all merged
-/// queries. Mirrors FlavorUsageProfile; timed_tuples keeps the prior
-/// cost (cycles/timed_tuples) unbiased under chunked dispatch.
-struct StoredFlavor {
-  std::string flavor;
-  u64 calls = 0;
-  u64 tuples = 0;
-  u64 cycles = 0;
-  u64 timed_tuples = 0;
-};
-
 /// Everything the store knows about one plan site, keyed by
 /// (site label, primitive signature). The label identifies the plan
 /// site ("q1/select"); the signature pins the primitive, so a plan
@@ -57,7 +46,10 @@ struct StoredProfile {
   u64 calls = 0;
   u64 tuples = 0;
   u64 cycles = 0;
-  std::vector<StoredFlavor> flavors;
+  /// Cumulative usage per flavor across all merged queries;
+  /// timed_tuples keeps the prior cost (cycles/timed_tuples) unbiased
+  /// under chunked dispatch.
+  std::vector<FlavorUsageProfile> flavors;
 };
 
 /// Thread-safe accumulator of per-site flavor knowledge. One store is

@@ -194,7 +194,7 @@ class Compiler {
     /// Evaluated shared subplans, for kSharedScan leaves.
     const SharedTables* shared = nullptr;
     /// Recursion stops at `stop`, which lowers to `leaf` (a worker's
-    /// MorselScanOperator for a staged fragment).
+    /// morsel-claiming ScanOperator for a staged fragment).
     const PlanNode* stop = nullptr;
     OperatorPtr leaf = nullptr;
     /// A kHashJoin found here probes its shared build instead of

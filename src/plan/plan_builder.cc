@@ -642,10 +642,6 @@ PlanBuilder& PlanBuilder::Sort(std::vector<SortKey> keys, size_t limit,
       Fail("unknown column '" + k.column + "' (sort key)");
       return *this;
     }
-    if (c->type == PhysicalType::kI8) {
-      Fail("sort key '" + k.column + "' has unsupported type i8");
-      return *this;
-    }
   }
   std::vector<ColumnInfo> schema = root_->schema;
   PlanNode* n = Push(NodeKind::kSort, std::move(label));

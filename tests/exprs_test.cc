@@ -19,7 +19,7 @@
 #include "plan/plan_builder.h"
 #include "plan/query_session.h"
 #include "storage/table.h"
-#include "table_fingerprint.h"
+#include "storage/table_fingerprint.h"
 
 namespace ma::plan {
 namespace {
@@ -46,7 +46,7 @@ std::unique_ptr<Table> RunSerial(const LogicalPlan& plan) {
 
 /// Runs `plan` serially and through the staged executor at 1/2/4
 /// worker threads; every staged table must equal the serial one byte
-/// for byte (tests/table_fingerprint.h).
+/// for byte (storage/table_fingerprint.h).
 void ExpectStagedParity(const LogicalPlan& plan, u64 morsel_size = 2048) {
   ASSERT_TRUE(plan.ok()) << plan.status.message();
   QuerySession serial_session{SessionConfig{}};

@@ -24,7 +24,7 @@
 #include "plan/plan_fingerprint.h"
 #include "plan/query_session.h"
 #include "serve/workload_server.h"
-#include "table_fingerprint.h"
+#include "storage/table_fingerprint.h"
 
 namespace ma::knowledge {
 namespace {

@@ -17,7 +17,7 @@
 #include "exec/op_scan.h"
 #include "exec/op_select.h"
 #include "exec/op_sort.h"
-#include "table_fingerprint.h"
+#include "storage/table_fingerprint.h"
 
 namespace ma {
 namespace {

@@ -21,13 +21,12 @@
 #include "exec/op_scan.h"
 #include "exec/op_select.h"
 #include "exec/parallel/morsel.h"
-#include "exec/parallel/morsel_scan.h"
 #include "exec/parallel/parallel_executor.h"
 #include "exec/parallel/thread_pool.h"
 #include "plan/plan_builder.h"
 #include "plan/query_session.h"
 #include "common/rng.h"
-#include "table_fingerprint.h"
+#include "storage/table_fingerprint.h"
 #include "tpch/dbgen.h"
 
 namespace ma {
@@ -96,7 +95,7 @@ TEST(ThreadPoolTest, RunsEveryWorkerEachPhase) {
 // Pipeline parity.
 // ---------------------------------------------------------------------
 
-// (ExactFingerprint comes from table_fingerprint.h.)
+// (ExactFingerprint comes from storage/table_fingerprint.h.)
 
 std::unique_ptr<Table> MakeNumbersTable(size_t rows) {
   Rng rng(321);

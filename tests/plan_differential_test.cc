@@ -28,7 +28,7 @@
 #include "exec/expr.h"
 #include "plan/plan_builder.h"
 #include "plan/query_session.h"
-#include "table_fingerprint.h"
+#include "storage/table_fingerprint.h"
 #include "tpch/dbgen.h"
 
 namespace ma::tpch {

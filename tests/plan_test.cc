@@ -18,7 +18,7 @@
 #include "plan/compiler.h"
 #include "plan/plan_builder.h"
 #include "plan/query_session.h"
-#include "table_fingerprint.h"
+#include "storage/table_fingerprint.h"
 #include "tpch/dbgen.h"
 #include "tpch/plans.h"
 
@@ -42,7 +42,7 @@ std::vector<ProjectOperator::Output> Outs(Args&&... args) {
 }
 
 // ---------------------------------------------------------------------
-// Helpers. (ExactFingerprint comes from table_fingerprint.h.)
+// Helpers. (ExactFingerprint comes from storage/table_fingerprint.h.)
 // ---------------------------------------------------------------------
 
 /// Runs `plan` serially and in parallel at several thread counts and
@@ -491,6 +491,64 @@ TEST(PlanParityTest, SortLimitAndBareLimit) {
                    .Build());
   ExpectParity(
       PlanBuilder::Scan(t.get(), {"a"}).Limit(777).Build());
+}
+
+TEST(PlanParityTest, I8SortKeysAndPayloadsSortAlikeEveryWay) {
+  // Serial Sort and the staged sort stage (parallel TopN from 4096 rows
+  // with a limit, else SortOperator) share one order and one gather, so
+  // i8 keys and payloads sort and come out the same in every mode.
+  for (const size_t rows : {size_t{100000}, size_t{1000}}) {
+    Rng rng(2024);
+    Table t("i8s");
+    Column* k = t.AddColumn("k", PhysicalType::kI64);
+    Column* b = t.AddColumn("b", PhysicalType::kI8);
+    Column* c = t.AddColumn("c", PhysicalType::kI8);
+    for (size_t i = 0; i < rows; ++i) {
+      k->Append<i64>(static_cast<i64>(rng.NextBounded(rows / 4)));
+      b->Append<i8>(static_cast<i8>(rng.NextRange(-128, 127)));
+      c->Append<i8>(static_cast<i8>(rng.NextRange(-5, 5)));
+    }
+    t.set_row_count(rows);
+    const std::vector<std::vector<SortKey>> key_sets = {
+        {{"k"}}, {{"c", true}, {"k"}}};
+    for (const std::vector<SortKey>& keys : key_sets) {
+      for (const size_t limit : {size_t{10}, size_t{0}}) {
+        SCOPED_TRACE(std::to_string(rows) + " rows, " + keys[0].column +
+                     " first, limit " + std::to_string(limit));
+        const LogicalPlan plan =
+            PlanBuilder::Scan(&t).Sort(keys, limit).Build();
+        ASSERT_TRUE(plan.ok()) << plan.status.ToString();
+        QuerySession serial_session{SessionConfig{}};
+        const RunResult ref = serial_session.Run(plan, ExecMode::kSerial);
+        ASSERT_TRUE(ref.status.ok()) << ref.status.ToString();
+        ASSERT_EQ(ref.table->row_count(), limit > 0 ? limit : rows);
+        const Column* rk = ref.table->FindColumn("k");
+        const Column* rc = ref.table->FindColumn("c");
+        for (size_t i = 1; i < ref.table->row_count(); ++i) {
+          const i8 c0 = rc->Get<i8>(i - 1);
+          const i8 c1 = rc->Get<i8>(i);
+          if (keys[0].column == "c" && c0 != c1) {
+            ASSERT_GT(c0, c1) << "row " << i;
+          } else {
+            ASSERT_LE(rk->Get<i64>(i - 1), rk->Get<i64>(i)) << "row " << i;
+          }
+        }
+        const u64 ref_fp = ExactFingerprint(*ref.table);
+        for (const int threads : {1, 2, 4}) {
+          SessionConfig cfg;
+          cfg.parallel.num_threads = threads;
+          cfg.parallel.morsel_size = 4096;
+          QuerySession session{cfg};
+          const RunResult got = session.Run(plan, ExecMode::kParallel);
+          ASSERT_TRUE(got.status.ok())
+              << threads << " threads: " << got.status.ToString();
+          EXPECT_TRUE(session.last_run_parallel()) << threads << " threads";
+          EXPECT_EQ(ExactFingerprint(*got.table), ref_fp)
+              << threads << " threads";
+        }
+      }
+    }
+  }
 }
 
 TEST(PlanParityTest, JoinFeedingAggregationWithHavingTail) {

@@ -16,7 +16,7 @@
 #include "knowledge/plan_cache.h"
 #include "knowledge/profile_store.h"
 #include "plan/query_session.h"
-#include "table_fingerprint.h"
+#include "storage/table_fingerprint.h"
 #include "tpch_golden_fingerprints.h"
 #include "tpch/plans.h"
 #include "tpch/queries.h"
@@ -196,7 +196,7 @@ TEST_F(QueriesTest, Q22NoSelectedCustomerHasOrders) {
 }
 
 // --- plan-compiled queries: staged parallel == serial, byte for byte ---
-// (ExactFingerprint comes from table_fingerprint.h.)
+// (ExactFingerprint comes from storage/table_fingerprint.h.)
 
 class StagedQueriesTest : public QueriesTest {};
 
@@ -631,52 +631,8 @@ TEST_F(GoldenFingerprints, PlanCacheWarmMatchesGolden) {
 
 // --- every query, every mode, identical results ---
 
-struct QueryModeCase {
-  int query;
-};
-
 class AllQueriesAllModesTest
     : public ::testing::TestWithParam<int> {};
-
-std::string TableFingerprint(const Table& t) {
-  // Order-insensitive fingerprint of numeric cells with rounding, plus
-  // row/column counts. Different modes may tie-break sort orders
-  // differently only if the plans were nondeterministic — they are not —
-  // but float summation order inside aggregates is identical too, so
-  // exact content must match.
-  u64 h = 1469598103934665603ULL;
-  auto mix = [&h](u64 v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  };
-  mix(t.row_count());
-  mix(t.num_columns());
-  for (size_t c = 0; c < t.num_columns(); ++c) {
-    const Column* col = t.column(c);
-    for (size_t i = 0; i < col->size(); ++i) {
-      switch (col->type()) {
-        case PhysicalType::kI64:
-          mix(static_cast<u64>(col->Data<i64>()[i]));
-          break;
-        case PhysicalType::kF64: {
-          // Round to 1e-6 to absorb harmless last-bit noise.
-          const f64 v = col->Data<f64>()[i];
-          mix(static_cast<u64>(std::llround(v * 1e6)));
-          break;
-        }
-        case PhysicalType::kStr: {
-          for (const char ch : col->Data<StrRef>()[i].view()) {
-            mix(static_cast<u8>(ch));
-          }
-          break;
-        }
-        default:
-          break;
-      }
-    }
-  }
-  return std::to_string(h);
-}
 
 TEST_P(AllQueriesAllModesTest, ResultsIdenticalAcrossModes) {
   TpchConfig cfg;
@@ -684,18 +640,25 @@ TEST_P(AllQueriesAllModesTest, ResultsIdenticalAcrossModes) {
   static const TpchData* data = Generate(cfg).release();
   const int q = GetParam();
 
-  std::string reference;
+  // Every flavor is a faithful implementation of its primitive, so the
+  // mode changes speed and never a byte (ExactFingerprint: order, names,
+  // types and f64 bit patterns all count).
+  u64 reference = 0;
   for (const auto& [name, ecfg] :
        std::vector<std::pair<std::string, EngineConfig>>{
            {"default", DefaultConfig()},
            {"nobranching", ForcedConfig("nobranching")},
            {"fission", ForcedConfig("fission")},
+           {"avx2", ForcedConfig("avx2")},
+           {"icc", ForcedConfig("icc")},
+           {"full", ForcedConfig("full")},
+           {"nounroll", ForcedConfig("nounroll")},
            {"heuristic", HeuristicConfig()},
            {"adaptive", AdaptiveConfig()}}) {
     const RunResult r = RunSerial(*data, q, ecfg);
     ASSERT_NE(r.table, nullptr) << name;
-    const std::string fp = TableFingerprint(*r.table);
-    if (reference.empty()) {
+    const u64 fp = ExactFingerprint(*r.table);
+    if (name == "default") {
       reference = fp;
     } else {
       EXPECT_EQ(fp, reference) << "mode " << name << " diverged on Q" << q;

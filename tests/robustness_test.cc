@@ -21,7 +21,7 @@
 #include "plan/compiler.h"
 #include "plan/plan_builder.h"
 #include "plan/query_session.h"
-#include "table_fingerprint.h"
+#include "storage/table_fingerprint.h"
 
 namespace ma::plan {
 namespace {

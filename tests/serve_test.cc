@@ -24,7 +24,7 @@
 #include "serve/memory_broker.h"
 #include "serve/retry_policy.h"
 #include "serve/workload_server.h"
-#include "table_fingerprint.h"
+#include "storage/table_fingerprint.h"
 
 namespace ma::serve {
 namespace {

@@ -26,7 +26,7 @@
 #include "plan/plan_builder.h"
 #include "plan/query_session.h"
 #include "serve/workload_server.h"
-#include "table_fingerprint.h"
+#include "storage/table_fingerprint.h"
 
 namespace ma {
 namespace {
